@@ -15,6 +15,9 @@
 //   p50/p95/p99/max   per-frame latency from the server's own METRICS
 //                     histograms (delta across the pass; max is since the
 //                     server started, as histograms are monotone counters)
+//   stage means       mean µs per QUERY_BATCH frame in each server stage
+//                     (read, decode, queue_wait, engine, encode, write),
+//                     from the same METRICS deltas
 //
 // A pipelined pass (QueryBatchPipelined, 8 frames in flight) shows what
 // the event loop buys once the client stops waiting a full round trip
@@ -26,8 +29,9 @@
 // perturb an answer.
 //
 // Results go to stdout and BENCH_server.json (DPGRID_BENCH_OUT
-// overrides). Env knobs: DPGRID_SRV_POINTS (default 200000),
-// DPGRID_SRV_QUERIES (default 262144 per batch-size pass),
+// overrides), stamped with the CPU model, usable CPUs, compiler and git
+// revision they were measured on. Env knobs: DPGRID_SRV_POINTS (default
+// 200000), DPGRID_SRV_QUERIES (default 262144 per batch-size pass),
 // DPGRID_SRV_REPS (default 3), DPGRID_SEED.
 
 #include <algorithm>
@@ -49,6 +53,7 @@
 #include "data/generators.h"
 #include "grid/uniform_grid.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "query/query_engine.h"
 #include "query/workload.h"
 #include "server/client.h"
@@ -76,6 +81,8 @@ struct PassResult {
   double p95_us = 0.0;
   double p99_us = 0.0;
   uint64_t max_us = 0;
+  // Mean µs per QUERY_BATCH frame in each server stage (obs::Stage order).
+  double stage_mean_us[obs::kNumStages] = {};
 };
 
 // Latency histogram of the QUERY_BATCH op inside a METRICS snapshot
@@ -85,6 +92,24 @@ obs::HistogramSnapshot QueryBatchLatency(const obs::MetricsSnapshot& snap) {
     if (op.op == static_cast<uint32_t>(WireOp::kQueryBatch)) return op.latency;
   }
   return obs::HistogramSnapshot{};
+}
+
+// Mean µs per QUERY_BATCH frame in each server stage between two METRICS
+// snapshots. Stage histograms cover every op, so the sums also hold the
+// opening METRICS frame's few µs; dividing by the QUERY_BATCH frame count
+// keeps that one bodyless frame from diluting the means.
+void StageMeans(const obs::MetricsSnapshot& before,
+                const obs::MetricsSnapshot& after,
+                double out[obs::kNumStages]) {
+  const uint64_t frames =
+      QueryBatchLatency(after).Delta(QueryBatchLatency(before)).count;
+  for (size_t s = 0; s < obs::kNumStages; ++s) {
+    const uint64_t sum_us =
+        after.stages[s].Delta(before.stages[s]).sum_us;
+    out[s] = frames == 0 ? 0.0
+                         : static_cast<double>(sum_us) /
+                               static_cast<double>(frames);
+  }
 }
 
 const char* ModeName(ServeMode mode) {
@@ -120,7 +145,9 @@ int main() {
   const char* out_path = std::getenv("DPGRID_BENCH_OUT");
   if (out_path == nullptr || *out_path == '\0') out_path = "BENCH_server.json";
 
+  const bench::HostStamp host = bench::HostStamp::Collect();
   std::printf("=== bench_server_throughput ===\n");
+  std::printf("host: %s\n", host.ToJson().c_str());
   std::printf("points=%lld queries=%zu reps=%d seed=%llu (loopback, "
               "1-thread engine, DPGW v%u)\n",
               static_cast<long long>(num_points), num_queries, reps,
@@ -281,6 +308,7 @@ int main() {
       res.p95_us = pass_latency.P95();
       res.p99_us = pass_latency.P99();
       res.max_us = pass_latency.max_us;
+      StageMeans(before, after, res.stage_mean_us);
       all_equal = all_equal && res.bitwise_equal;
       results.push_back(res);
       std::printf("%-12zu %14.0f %14.1f %11.1f%% %10s %8.0f %8.0f %8.0f %8llu\n",
@@ -288,6 +316,11 @@ int main() {
                   100.0 * res.overhead, res.bitwise_equal ? "yes" : "NO",
                   res.p50_us, res.p95_us, res.p99_us,
                   static_cast<unsigned long long>(res.max_us));
+      std::printf("%-12s stage means:", "");
+      for (size_t st = 0; st < obs::kNumStages; ++st) {
+        std::printf(" %s=%.1fus", obs::StageName(st), res.stage_mean_us[st]);
+      }
+      std::printf("\n");
     }
 
     if (mode == ServeMode::kEventLoop) {
@@ -401,6 +434,7 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_server_throughput\",\n"
+               "  \"host\": %s,\n"
                "  \"config\": {\n"
                "    \"points\": %lld,\n"
                "    \"queries\": %zu,\n"
@@ -422,24 +456,34 @@ int main() {
                "  },\n"
                "  \"inprocess_qps\": %.0f,\n"
                "  \"wire\": [\n",
-               static_cast<long long>(num_points), num_queries, reps,
-               static_cast<unsigned long long>(seed), ug.grid_size(),
+               host.ToJson().c_str(), static_cast<long long>(num_points),
+               num_queries, reps, static_cast<unsigned long long>(seed),
+               ug.grid_size(),
                kWireProtocolVersion, fnv_gbps, crc_sw_gbps,
                crc_hw ? "true" : "false", crc_hw_gbps,
                crc_best_gbps / fnv_gbps, digests_match ? "true" : "false",
                inprocess_qps);
   for (size_t i = 0; i < results.size(); ++i) {
     const PassResult& r = results[i];
+    std::string stages;
+    for (size_t st = 0; st < obs::kNumStages; ++st) {
+      char field[64];
+      std::snprintf(field, sizeof(field), "%s\"%s\": %.1f",
+                    st == 0 ? "" : ", ", obs::StageName(st),
+                    r.stage_mean_us[st]);
+      stages += field;
+    }
     std::fprintf(f,
                  "    {\"server_mode\": \"%s\", \"batch_size\": %zu, "
                  "\"wire_qps\": %.0f, "
                  "\"frames_per_sec\": %.1f, \"overhead_vs_inprocess\": %.4f, "
                  "\"latency_p50_us\": %.1f, \"latency_p95_us\": %.1f, "
                  "\"latency_p99_us\": %.1f, \"latency_max_us\": %llu, "
+                 "\"stage_mean_us\": {%s}, "
                  "\"bitwise_equal_inprocess\": %s}%s\n",
                  r.mode, r.batch_size, r.wire_qps, r.frames_per_sec,
                  r.overhead, r.p50_us, r.p95_us, r.p99_us,
-                 static_cast<unsigned long long>(r.max_us),
+                 static_cast<unsigned long long>(r.max_us), stages.c_str(),
                  r.bitwise_equal ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }

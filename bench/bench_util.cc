@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include <sched.h>
 #include <signal.h>
 #include <unistd.h>
 
@@ -25,6 +26,83 @@ int64_t EnvInt(const char* name, int64_t fallback) {
 }
 
 double NowSeconds() { return dpgrid::NowSeconds(); }
+
+namespace {
+
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') out.push_back('\\');
+    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
+  }
+  return out + "\"";
+}
+
+// First line of a shell command's stdout, "" when it fails or prints
+// nothing.
+std::string CommandLine(const std::string& command) {
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char line[256] = {};
+  const bool got = std::fgets(line, sizeof(line), pipe) != nullptr;
+  const int status = ::pclose(pipe);
+  if (!got || status != 0) return "";
+  std::string out(line);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+}  // namespace
+
+HostStamp HostStamp::Collect() {
+  HostStamp stamp;
+  stamp.cpu_model = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string text(line);
+      const size_t colon = text.find(':');
+      if (text.rfind("model name", 0) == 0 && colon != std::string::npos) {
+        stamp.cpu_model = text.substr(colon + 2);
+        if (!stamp.cpu_model.empty() && stamp.cpu_model.back() == '\n') {
+          stamp.cpu_model.pop_back();
+        }
+        break;
+      }
+    }
+    std::fclose(f);
+  }
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    stamp.nproc = CPU_COUNT(&set);
+  }
+#if defined(__clang__)
+  stamp.compiler = __VERSION__;  // already names Clang
+#else
+  stamp.compiler = std::string("gcc ") + __VERSION__;
+#endif
+  const std::string git =
+      std::string("git -C '") + DPGRID_SOURCE_DIR + "' ";
+  stamp.git_sha = CommandLine(git + "rev-parse HEAD 2>/dev/null");
+  if (stamp.git_sha.empty()) {
+    stamp.git_sha = "unknown";
+  } else if (!CommandLine(git + "status --porcelain --untracked-files=no "
+                                "2>/dev/null")
+                  .empty()) {
+    stamp.git_sha += "-dirty";
+  }
+  return stamp;
+}
+
+std::string HostStamp::ToJson() const {
+  return "{\"cpu_model\": " + JsonString(cpu_model) +
+         ", \"nproc\": " + std::to_string(nproc) +
+         ", \"compiler\": " + JsonString(compiler) +
+         ", \"git_sha\": " + JsonString(git_sha) + "}";
+}
 
 ScratchDir::ScratchDir(const std::string& prefix) {
   const std::filesystem::path tmp = std::filesystem::temp_directory_path();

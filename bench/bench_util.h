@@ -43,6 +43,21 @@ class ScratchDir {
 /// Monotonic wall-clock seconds, for best-of-reps timing loops.
 double NowSeconds();
 
+/// Where a bench figure was measured — stamped into BENCH_*.json so no
+/// number is read without its hardware and source revision.
+struct HostStamp {
+  std::string cpu_model;  // /proc/cpuinfo "model name", or "unknown"
+  int nproc = 0;          // CPUs this process may run on
+  std::string compiler;   // the compiler that built the bench
+  /// HEAD of the source tree, suffixed "-dirty" when tracked files differ
+  /// from it; "unknown" outside a git checkout.
+  std::string git_sha;
+
+  static HostStamp Collect();
+  /// A JSON object with the four fields.
+  std::string ToJson() const;
+};
+
 /// Runtime knobs shared by every bench binary, read from the environment:
 ///   DPGRID_SCALE    dataset scale in (0,1], default 1.0 (paper scale)
 ///   DPGRID_TRIALS   fresh-noise trials per method, default 3

@@ -369,7 +369,7 @@ bool QueryClient::QueryBatchPipelined(const std::string& name,
       }
       const InFlight frame = in_flight.front();
       in_flight.pop_front();
-      QueryBatchResponse resp;
+      QueryBatchResponse& resp = decoded_scratch_;
       if (!DecodeQueryBatchResponse(body, &resp, &frame_error)) {
         return fail(frame_error);
       }
@@ -476,7 +476,7 @@ bool QueryClient::RunQueryBatch(const std::string& request_body,
           }
           return false;
         }
-        QueryBatchResponse resp;
+        QueryBatchResponse& resp = decoded_scratch_;
         if (!DecodeQueryBatchResponse(body, &resp, attempt_error)) {
           Close();
           if (status != nullptr) *status = WireStatus::kInternal;
@@ -492,7 +492,7 @@ bool QueryClient::RunQueryBatch(const std::string& request_body,
           return SetError(attempt_error,
                           "answer count does not match query count");
         }
-        if (answers != nullptr) *answers = std::move(resp.answers);
+        if (answers != nullptr) answers->swap(resp.answers);
         if (version != nullptr) *version = resp.version;
         if (status != nullptr) *status = WireStatus::kOk;
         return true;

@@ -185,6 +185,10 @@ class QueryClient {
   // anyway; see the thread-safety note above).
   std::string request_scratch_;
   std::string response_scratch_;
+  // Decoded in place each frame; its answer vector is swapped with the
+  // caller's, so two answer buffers alternate instead of one being
+  // allocated per frame.
+  QueryBatchResponse decoded_scratch_;
 };
 
 }  // namespace dpgrid

@@ -1,7 +1,8 @@
 #include "server/wire.h"
 
-#include <cmath>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/crc32c.h"
@@ -195,6 +196,17 @@ bool DecodeFrame(std::string_view bytes, WireFrame* out, std::string* error) {
 
 // --- QUERY_BATCH -----------------------------------------------------------
 
+// A QUERY_BATCH payload is a raw little-endian f64 array, and the host is
+// little-endian (static-asserted in store/byte_io.h). A 2-D query's wire
+// form xlo,ylo,xhi,yhi is therefore byte-for-byte a Rect in memory, so a
+// whole batch of Rects moves with one ByteWriter/ByteReader::Bytes copy.
+// These asserts pin the layout that relies on.
+static_assert(std::is_trivially_copyable_v<Rect>);
+static_assert(std::is_standard_layout_v<Rect>);
+static_assert(sizeof(Rect) == 4 * sizeof(double));
+static_assert(offsetof(Rect, xlo) == 0 && offsetof(Rect, ylo) == 8 &&
+              offsetof(Rect, xhi) == 16 && offsetof(Rect, yhi) == 24);
+
 namespace {
 
 void AppendQueryBatchRequest(ByteWriter& w, const std::string& name,
@@ -202,12 +214,7 @@ void AppendQueryBatchRequest(ByteWriter& w, const std::string& name,
   w.Str(name);
   w.U32(2);
   w.U64(queries.size());
-  for (const Rect& q : queries) {
-    w.F64(q.xlo);
-    w.F64(q.ylo);
-    w.F64(q.xhi);
-    w.F64(q.yhi);
-  }
+  w.Bytes(queries.data(), queries.size_bytes());
 }
 
 void AppendQueryBatchRequestNd(ByteWriter& w, const std::string& name,
@@ -215,14 +222,30 @@ void AppendQueryBatchRequestNd(ByteWriter& w, const std::string& name,
   w.Str(name);
   w.U32(dims);
   w.U64(queries.size());
+  const size_t axis_bytes = static_cast<size_t>(dims) * sizeof(double);
   for (const BoxNd& q : queries) {
-    // Indexing below trusts the shared dimensionality; a shorter box
+    // The copies below trust the shared dimensionality; a shorter box
     // would read past its bounds.
     DPGRID_CHECK_MSG(q.dims() == dims,
                      "all queries in a batch must share `dims`");
-    for (size_t a = 0; a < dims; ++a) w.F64(q.lo(a));
-    for (size_t a = 0; a < dims; ++a) w.F64(q.hi(a));
+    w.Bytes(q.lo().data(), axis_bytes);
+    w.Bytes(q.hi().data(), axis_bytes);
   }
+}
+
+// True when every little-endian f64 in `bytes` is finite (an all-ones
+// exponent field marks an infinity or a NaN). Branch-free, so it
+// vectorizes into one streaming pass.
+bool AllFiniteF64(std::string_view bytes) {
+  constexpr uint64_t kExponent = 0x7ff0000000000000ull;
+  const size_t n = bytes.size() / sizeof(double);
+  uint64_t non_finite = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, bytes.data() + i * sizeof(double), sizeof(bits));
+    non_finite |= static_cast<uint64_t>((bits & kExponent) == kExponent);
+  }
+  return non_finite == 0;
 }
 
 }  // namespace
@@ -266,9 +289,6 @@ bool DecodeQueryBatchRequest(std::string_view body, QueryBatchRequest* out,
   // Decode straight into *out so a reused request object's buffers keep
   // their capacity across frames.
   QueryBatchRequest& req = *out;
-  req.name.clear();
-  req.queries.clear();
-  req.queries_nd.clear();
   ByteReader r(body);
   if (!r.Str(&req.name)) {
     return SetError(error, "truncated name: " + r.error());
@@ -296,22 +316,24 @@ bool DecodeQueryBatchRequest(std::string_view body, QueryBatchRequest* out,
   if (count > r.remaining() / per_query) {
     return SetError(error, "query count exceeds body size");
   }
+  const size_t n = static_cast<size_t>(count);
   if (req.dims == 2) {
-    req.queries.resize(static_cast<size_t>(count));
-    for (Rect& q : req.queries) {
-      r.F64(&q.xlo);
-      r.F64(&q.ylo);
-      r.F64(&q.xhi);
-      r.F64(&q.yhi);
-    }
+    req.queries_nd.clear();
+    // No clear() first: a reused vector of the same size is overwritten
+    // by the copy without being zero-filled ahead of it.
+    req.queries.resize(n);
+    r.Bytes(req.queries.data(), n * sizeof(Rect), "queries");
   } else {
-    req.queries_nd.reserve(static_cast<size_t>(count));
-    std::vector<double> lo(req.dims);
-    std::vector<double> hi(req.dims);
-    for (uint64_t i = 0; i < count; ++i) {
-      for (double& v : lo) r.F64(&v);
-      for (double& v : hi) r.F64(&v);
-      req.queries_nd.emplace_back(lo, hi);
+    req.queries.clear();
+    req.queries_nd.clear();
+    req.queries_nd.reserve(n);
+    const size_t axis_bytes = per_query / 2;
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<double> lo(req.dims);
+      std::vector<double> hi(req.dims);
+      r.Bytes(lo.data(), axis_bytes, "query lo");
+      r.Bytes(hi.data(), axis_bytes, "query hi");
+      req.queries_nd.emplace_back(std::move(lo), std::move(hi));
     }
   }
   if (!r.ok()) {
@@ -322,19 +344,11 @@ bool DecodeQueryBatchRequest(std::string_view body, QueryBatchRequest* out,
   }
   // The engine's coordinate-to-cell casts assume finite inputs (a NaN
   // would sail through std::clamp into a float-to-index cast). In-process
-  // callers are trusted; bytes off a socket are not — reject here.
-  for (const Rect& q : req.queries) {
-    if (!std::isfinite(q.xlo) || !std::isfinite(q.ylo) ||
-        !std::isfinite(q.xhi) || !std::isfinite(q.yhi)) {
-      return SetError(error, "non-finite query coordinate");
-    }
-  }
-  for (const BoxNd& q : req.queries_nd) {
-    for (size_t a = 0; a < q.dims(); ++a) {
-      if (!std::isfinite(q.lo(a)) || !std::isfinite(q.hi(a))) {
-        return SetError(error, "non-finite query coordinate");
-      }
-    }
+  // callers are trusted; bytes off a socket are not — reject here. With no
+  // trailing bytes, the queries are exactly the body's last n * per_query
+  // bytes.
+  if (!AllFiniteF64(body.substr(body.size() - n * per_query))) {
+    return SetError(error, "non-finite query coordinate");
   }
   return true;
 }
@@ -347,7 +361,7 @@ void AppendQueryBatchOkBody(ByteWriter& w, uint64_t version,
   w.Str("");
   w.U64(version);
   w.U64(answers.size());
-  for (double a : answers) w.F64(a);
+  w.Bytes(answers.data(), answers.size_bytes());
 }
 
 }  // namespace
@@ -369,13 +383,15 @@ void EncodeQueryBatchOkBodyTo(uint64_t version,
 
 bool DecodeQueryBatchResponse(std::string_view body, QueryBatchResponse* out,
                               std::string* error) {
+  // Decodes in place, like DecodeQueryBatchRequest: F64Vec resizes the
+  // reused answer vector and fills it with one bulk copy.
+  QueryBatchResponse& resp = *out;
+  resp.version = 0;
   ByteReader r(body);
-  QueryBatchResponse resp;
   if (!ReadStatusPrefix(&r, &resp.status, &resp.message, error)) return false;
   if (resp.status != WireStatus::kOk) {
-    if (!FinishErrorResponse(r, error)) return false;
-    *out = std::move(resp);
-    return true;
+    resp.answers.clear();
+    return FinishErrorResponse(r, error);
   }
   if (!r.U64(&resp.version) || !r.F64Vec(&resp.answers)) {
     return SetError(error, "truncated query response: " + r.error());
@@ -383,7 +399,6 @@ bool DecodeQueryBatchResponse(std::string_view body, QueryBatchResponse* out,
   if (r.remaining() != 0) {
     return SetError(error, "trailing bytes in query response");
   }
-  *out = std::move(resp);
   return true;
 }
 

@@ -176,7 +176,9 @@ struct QueryBatchRequest {
 };
 
 /// Body: str name, u32 dims, u64 count, then per query 2*dims f64
-/// (lo per axis, then hi per axis; for 2-D that is xlo,ylo,xhi,yhi).
+/// (lo per axis, then hi per axis; for 2-D that is xlo,ylo,xhi,yhi). The
+/// queries are a raw little-endian f64 array: a 2-D batch moves as one
+/// bulk copy of its Rects, an N-d batch as one copy per box's lo and hi.
 std::string EncodeQueryBatchRequest(const std::string& name,
                                     std::span<const Rect> queries);
 std::string EncodeQueryBatchRequestNd(const std::string& name, uint32_t dims,
@@ -224,6 +226,10 @@ std::string EncodeQueryBatchOkBody(uint64_t version,
 void EncodeQueryBatchOkBodyTo(uint64_t version,
                               std::span<const double> answers,
                               std::string* out);
+
+/// Decodes directly into `*out`, reusing its answer vector's capacity (the
+/// answers are read with one bulk copy). On failure `*out` is left in an
+/// unspecified (but valid) state.
 bool DecodeQueryBatchResponse(std::string_view body, QueryBatchResponse* out,
                               std::string* error);
 

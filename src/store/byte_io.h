@@ -1,6 +1,7 @@
 #ifndef DPGRID_STORE_BYTE_IO_H_
 #define DPGRID_STORE_BYTE_IO_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -9,15 +10,28 @@
 
 namespace dpgrid {
 
-// Little-endian binary encoding primitives for the snapshot format.
+// Little-endian binary encoding primitives for the snapshot format and the
+// DPGW wire protocol.
 //
 // ByteWriter appends to a growing buffer and cannot fail. ByteReader is the
 // untrusted-input side: every read is bounds-checked, the first failure
 // latches (ok() goes false and stays false), and no read ever aborts —
 // corrupt snapshot files must surface as clean errors, never crashes.
-// Multi-byte values are stored in the host byte order of the x86-64 targets
-// this library builds for (little-endian); the header's magic would reject
-// a byte-swapped file as corrupt rather than misload it.
+// Multi-byte values are stored in host byte order, which the static_assert
+// below pins to little-endian; the header's magic would reject a
+// byte-swapped file as corrupt rather than misload it.
+//
+// Bytes() is the bulk primitive: one bounds-checked memcpy of a whole
+// array. Because the host is little-endian, an array of doubles (or of a
+// trivially copyable struct of doubles) already has its wire layout in
+// memory, so the QUERY_BATCH codec (server/wire.cc) moves each batch's raw
+// little-endian f64 payload with one Bytes() call instead of a per-double
+// loop; wire.cc static-asserts Rect's size, field offsets and trivial
+// copyability to pin that layout.
+
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot and wire formats are little-endian; a "
+              "big-endian host would need byte-swapping codecs");
 
 class ByteWriter {
  public:
@@ -30,20 +44,26 @@ class ByteWriter {
     buf_.clear();
   }
 
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I32(int32_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
+  void U32(uint32_t v) { Bytes(&v, sizeof(v)); }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void I32(int32_t v) { Bytes(&v, sizeof(v)); }
+  void F64(double v) { Bytes(&v, sizeof(v)); }
   void Bool(bool v) { U32(v ? 1 : 0); }
+
+  /// Appends `n` bytes verbatim — the bulk form of the fixed-width writers
+  /// for arrays whose in-memory layout is their encoding.
+  void Bytes(const void* p, size_t n) {
+    if (n > 0) buf_.append(static_cast<const char*>(p), n);
+  }
 
   void Str(const std::string& s) {
     U32(static_cast<uint32_t>(s.size()));
-    Raw(s.data(), s.size());
+    Bytes(s.data(), s.size());
   }
 
   void F64Vec(const std::vector<double>& v) {
     U64(v.size());
-    Raw(v.data(), v.size() * sizeof(double));
+    Bytes(v.data(), v.size() * sizeof(double));
   }
 
   void SizeVec(const std::vector<size_t>& v) {
@@ -56,10 +76,6 @@ class ByteWriter {
   std::string Take() && { return std::move(buf_); }
 
  private:
-  void Raw(const void* p, size_t n) {
-    if (n > 0) buf_.append(static_cast<const char*>(p), n);
-  }
-
   std::string buf_;
 };
 
@@ -71,10 +87,25 @@ class ByteReader {
   const std::string& error() const { return error_; }
   size_t remaining() const { return bytes_.size() - pos_; }
 
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v), "u32"); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v), "u64"); }
-  bool I32(int32_t* v) { return Raw(v, sizeof(*v), "i32"); }
-  bool F64(double* v) { return Raw(v, sizeof(*v), "f64"); }
+  bool U32(uint32_t* v) { return Bytes(v, sizeof(*v), "u32"); }
+  bool U64(uint64_t* v) { return Bytes(v, sizeof(*v), "u64"); }
+  bool I32(int32_t* v) { return Bytes(v, sizeof(*v), "i32"); }
+  bool F64(double* v) { return Bytes(v, sizeof(*v), "f64"); }
+
+  /// Copies the next `n` bytes to `p` in one bounds-checked memcpy — the
+  /// bulk form of the fixed-width readers. Fails (and latches, naming
+  /// `what`) when fewer than `n` bytes remain or an earlier read failed.
+  bool Bytes(void* p, size_t n, const char* what) {
+    if (!ok_) return false;
+    if (n > remaining()) {
+      return Fail(std::string("truncated payload reading ") + what);
+    }
+    if (n > 0) {  // an empty vector's data() may be null; memcpy forbids it
+      std::memcpy(p, bytes_.data() + pos_, n);
+      pos_ += n;
+    }
+    return true;
+  }
 
   bool Bool(bool* v) {
     uint32_t raw = 0;
@@ -100,8 +131,8 @@ class ByteReader {
       return Fail("double array length exceeds payload");
     }
     v->resize(static_cast<size_t>(len));
-    return Raw(v->data(), static_cast<size_t>(len) * sizeof(double),
-               "double array");
+    return Bytes(v->data(), static_cast<size_t>(len) * sizeof(double),
+                 "double array");
   }
 
   bool SizeVec(std::vector<size_t>* v) {
@@ -130,18 +161,6 @@ class ByteReader {
   }
 
  private:
-  bool Raw(void* p, size_t n, const char* what) {
-    if (!ok_) return false;
-    if (n > remaining()) {
-      return Fail(std::string("truncated payload reading ") + what);
-    }
-    if (n > 0) {  // an empty vector's data() may be null; memcpy forbids it
-      std::memcpy(p, bytes_.data() + pos_, n);
-      pos_ += n;
-    }
-    return true;
-  }
-
   std::string_view bytes_;
   size_t pos_ = 0;
   bool ok_ = true;

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -464,7 +465,17 @@ TEST_F(ServerTest, RacingPublisherNeverSplitsABatch) {
   std::string error;
   size_t version_changes = 0;
   uint64_t last_version = 0;
-  for (int round = 0; round < 200; ++round) {
+  // At least 200 rounds, and more until the race has been seen: how many
+  // publishes land between rounds depends on how fast a round is and on
+  // when the scheduler runs the publisher (a loaded host can starve it for
+  // all of 200 fast rounds). The deadline bounds a publisher that never
+  // runs; the assertion below then fails as before.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int round = 0;
+       round < 200 || (version_changes <= 5 &&
+                       std::chrono::steady_clock::now() < deadline);
+       ++round) {
     std::vector<double> answers;
     uint64_t version = 0;
     ASSERT_TRUE(client.QueryBatch("flip", queries, &answers, &version,

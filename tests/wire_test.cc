@@ -3,6 +3,7 @@
 // damage anywhere in a frame must fail decoding with a clean error, never
 // a crash or a silently misread request.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -15,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/wire.h"
+#include "store/byte_io.h"
 #include "store/snapshot.h"
 
 namespace dpgrid {
@@ -385,6 +387,240 @@ TEST(WireQueryBatchTest, OverLimitCountIsRejectedEarlyAsTooLarge) {
   EXPECT_TRUE(DecodeQueryBatchRequest(body, &req, &error,
                                       /*max_queries=*/3, &reject))
       << error;
+}
+
+// --- QUERY_BATCH bulk codec ------------------------------------------------
+//
+// The QUERY_BATCH payloads move as one bulk copy of host memory; these
+// tests pin that the bytes are still the per-field little-endian layout
+// the protocol documents, and that every decoder check survives the bulk
+// path.
+
+// Assembles a body field by field, byte by byte, independently of the
+// codec under test.
+class LittleEndianBytes {
+ public:
+  LittleEndianBytes& U32(uint32_t v) { return Int(v, sizeof(v)); }
+  LittleEndianBytes& U64(uint64_t v) { return Int(v, sizeof(v)); }
+  LittleEndianBytes& F64(double v) {
+    return Int(std::bit_cast<uint64_t>(v), sizeof(v));
+  }
+  LittleEndianBytes& Str(const std::string& v) {
+    U32(static_cast<uint32_t>(v.size()));
+    bytes_ += v;
+    return *this;
+  }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  LittleEndianBytes& Int(uint64_t v, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+    return *this;
+  }
+
+  std::string bytes_;
+};
+
+std::vector<Rect> ManyQueries(size_t n) {
+  std::vector<Rect> out;
+  for (size_t i = 0; i < n; ++i) {
+    const double base = static_cast<double>(i);
+    out.push_back(Rect{base - 0.5, base * 0.25, base + 1.75, base + 3.0});
+  }
+  return out;
+}
+
+std::vector<BoxNd> ManyBoxes3(size_t n) {
+  std::vector<BoxNd> out;
+  for (size_t i = 0; i < n; ++i) {
+    const double base = static_cast<double>(i);
+    out.emplace_back(std::vector<double>{base, -base, 0.5 * base},
+                     std::vector<double>{base + 1.0, 2.0, base + 0.125});
+  }
+  return out;
+}
+
+TEST(WireBulkCodecTest, TwoDRequestMatchesPerFieldGoldenBytes) {
+  const std::vector<Rect> queries = SampleQueries();
+  LittleEndianBytes golden;
+  golden.Str("taxi").U32(2).U64(queries.size());
+  for (const Rect& q : queries) {
+    golden.F64(q.xlo).F64(q.ylo).F64(q.xhi).F64(q.yhi);
+  }
+  EXPECT_EQ(EncodeQueryBatchRequest("taxi", queries), golden.bytes());
+  std::string reused = "stale contents";
+  EncodeQueryBatchRequestTo("taxi", queries, &reused);
+  EXPECT_EQ(reused, golden.bytes());
+}
+
+TEST(WireBulkCodecTest, NdRequestMatchesPerFieldGoldenBytes) {
+  const std::vector<BoxNd> boxes = ManyBoxes3(3);
+  LittleEndianBytes golden;
+  golden.Str("cube").U32(3).U64(boxes.size());
+  for (const BoxNd& b : boxes) {
+    for (size_t a = 0; a < 3; ++a) golden.F64(b.lo(a));
+    for (size_t a = 0; a < 3; ++a) golden.F64(b.hi(a));
+  }
+  EXPECT_EQ(EncodeQueryBatchRequestNd("cube", 3, boxes), golden.bytes());
+  std::string reused = "stale contents";
+  EncodeQueryBatchRequestNdTo("cube", 3, boxes, &reused);
+  EXPECT_EQ(reused, golden.bytes());
+}
+
+TEST(WireBulkCodecTest, OkResponseMatchesPerFieldGoldenBytes) {
+  const std::vector<double> answers = {1.5, -2.25, 0.0, -0.0, 1e300};
+  LittleEndianBytes golden;
+  golden.U32(static_cast<uint32_t>(WireStatus::kOk))
+      .Str("")
+      .U64(77)
+      .U64(answers.size());
+  for (double a : answers) golden.F64(a);
+  EXPECT_EQ(EncodeQueryBatchOkBody(77, answers), golden.bytes());
+  std::string reused = "stale contents";
+  EncodeQueryBatchOkBodyTo(77, answers, &reused);
+  EXPECT_EQ(reused, golden.bytes());
+}
+
+TEST(WireBulkCodecTest, ReusedRequestDecodesShrinkingAndFailedBatches) {
+  QueryBatchRequest req;
+  std::string error;
+  const std::vector<Rect> five = ManyQueries(5);
+  ASSERT_TRUE(DecodeQueryBatchRequest(EncodeQueryBatchRequest("a", five),
+                                      &req, &error))
+      << error;
+  EXPECT_EQ(req.queries, five);
+
+  const std::vector<Rect> two = SampleQueries();
+  const std::vector<Rect> two_queries(two.begin(), two.begin() + 2);
+  ASSERT_TRUE(DecodeQueryBatchRequest(
+      EncodeQueryBatchRequest("bb", two_queries), &req, &error))
+      << error;
+  EXPECT_EQ(req.name, "bb");
+  EXPECT_EQ(req.count(), 2u);
+  EXPECT_EQ(req.queries, two_queries);
+
+  // A failed decode leaves *out unspecified; the next valid batch must
+  // still decode exactly.
+  const std::string valid = EncodeQueryBatchRequest("a", five);
+  EXPECT_FALSE(DecodeQueryBatchRequest(valid.substr(0, valid.size() - 1),
+                                       &req, &error));
+  ASSERT_TRUE(DecodeQueryBatchRequest(valid, &req, &error)) << error;
+  EXPECT_EQ(req.queries, five);
+
+  // Switching dimensionality on the same object leaves no stale queries.
+  const std::vector<BoxNd> boxes = ManyBoxes3(2);
+  ASSERT_TRUE(DecodeQueryBatchRequest(EncodeQueryBatchRequestNd("c", 3, boxes),
+                                      &req, &error))
+      << error;
+  EXPECT_TRUE(req.queries.empty());
+  ASSERT_EQ(req.queries_nd.size(), 2u);
+  EXPECT_TRUE(req.queries_nd[1] == boxes[1]);
+  ASSERT_TRUE(DecodeQueryBatchRequest(valid, &req, &error)) << error;
+  EXPECT_TRUE(req.queries_nd.empty());
+  EXPECT_EQ(req.queries, five);
+}
+
+TEST(WireBulkCodecTest, ReusedResponseDecodesShrinkingAndErrorBodies) {
+  QueryBatchResponse resp;
+  std::string error;
+  const std::vector<double> five = {1.0, 2.0, 3.0, 4.0, 5.0};
+  ASSERT_TRUE(
+      DecodeQueryBatchResponse(EncodeQueryBatchOkBody(3, five), &resp, &error))
+      << error;
+  EXPECT_EQ(resp.answers, five);
+  const std::vector<double> two = {-1.0, 0.5};
+  ASSERT_TRUE(
+      DecodeQueryBatchResponse(EncodeQueryBatchOkBody(4, two), &resp, &error))
+      << error;
+  EXPECT_EQ(resp.version, 4u);
+  EXPECT_EQ(resp.answers, two);
+
+  ASSERT_TRUE(DecodeQueryBatchResponse(
+      EncodeErrorBody(WireStatus::kNotFound, "gone"), &resp, &error))
+      << error;
+  EXPECT_EQ(resp.status, WireStatus::kNotFound);
+  EXPECT_EQ(resp.message, "gone");
+  EXPECT_EQ(resp.version, 0u);
+  EXPECT_TRUE(resp.answers.empty());
+
+  const std::string ok = EncodeQueryBatchOkBody(5, five);
+  EXPECT_FALSE(
+      DecodeQueryBatchResponse(ok.substr(0, ok.size() - 8), &resp, &error));
+  ASSERT_TRUE(DecodeQueryBatchResponse(ok, &resp, &error)) << error;
+  EXPECT_EQ(resp.status, WireStatus::kOk);
+  EXPECT_TRUE(resp.message.empty());
+  EXPECT_EQ(resp.version, 5u);
+  EXPECT_EQ(resp.answers, five);
+}
+
+TEST(WireBulkCodecTest, NonFiniteInLastQueryIsRejected) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  double Rect::*const kFields[] = {&Rect::xlo, &Rect::ylo, &Rect::xhi,
+                                   &Rect::yhi};
+  for (double Rect::*field : kFields) {
+    for (double bad : kBad) {
+      std::vector<Rect> queries = ManyQueries(4);
+      queries.back().*field = bad;
+      QueryBatchRequest req;
+      std::string error;
+      EXPECT_FALSE(DecodeQueryBatchRequest(
+          EncodeQueryBatchRequest("ok", queries), &req, &error))
+          << bad;
+      EXPECT_EQ(error, "non-finite query coordinate");
+    }
+  }
+  for (double bad : kBad) {
+    std::vector<BoxNd> boxes = ManyBoxes3(3);
+    boxes.back() = BoxNd(boxes.back().lo(), {1.0, 2.0, bad});
+    QueryBatchRequest req;
+    std::string error;
+    WireStatus reject = WireStatus::kOk;
+    EXPECT_FALSE(DecodeQueryBatchRequest(
+        EncodeQueryBatchRequestNd("ok", 3, boxes), &req, &error, SIZE_MAX,
+        &reject))
+        << bad;
+    EXPECT_EQ(error, "non-finite query coordinate");
+    EXPECT_EQ(reject, WireStatus::kMalformedRequest);
+  }
+}
+
+TEST(WireBulkCodecTest, EveryTruncatedPrefixIsRejected) {
+  const std::string bodies[] = {
+      EncodeQueryBatchRequest("trunc", ManyQueries(3)),
+      EncodeQueryBatchRequestNd("trunc", 3, ManyBoxes3(3)),
+  };
+  for (const std::string& body : bodies) {
+    QueryBatchRequest req;
+    std::string error;
+    ASSERT_TRUE(DecodeQueryBatchRequest(body, &req, &error)) << error;
+    for (size_t len = 0; len < body.size(); ++len) {
+      error.clear();
+      EXPECT_FALSE(DecodeQueryBatchRequest(body.substr(0, len), &req, &error))
+          << "prefix " << len << " of " << body.size();
+      EXPECT_FALSE(error.empty()) << "prefix " << len;
+    }
+  }
+}
+
+TEST(WireBulkCodecTest, ByteReaderBulkReadLatchesOnShortInput) {
+  ByteWriter w;
+  const double values[3] = {1.0, -2.0, 3.5};
+  w.Bytes(values, sizeof(values));
+  ASSERT_EQ(w.size(), sizeof(values));
+  ByteReader r(w.buffer());
+  double out[4] = {};
+  EXPECT_FALSE(r.Bytes(out, sizeof(out), "four doubles"));
+  EXPECT_EQ(r.error(), "truncated payload reading four doubles");
+  // The failure latches: even a read that would fit now fails.
+  EXPECT_FALSE(r.Bytes(out, sizeof(double), "one double"));
+  ByteReader fresh(w.buffer());
+  ASSERT_TRUE(fresh.Bytes(out, sizeof(values), "three doubles"));
+  EXPECT_EQ(fresh.remaining(), 0u);
+  EXPECT_EQ(std::memcmp(out, values, sizeof(values)), 0);
 }
 
 TEST(WireResponseTest, QueryBatchOkRoundTrip) {
