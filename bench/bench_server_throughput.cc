@@ -2,12 +2,10 @@
 // engine called in-process, on a loopback connection.
 //
 // One client thread streams QUERY_BATCH frames of varying batch sizes at
-// a single-threaded server (per the repo perf notes: the container has
-// one CPU, so client and server handler time-share it — the numbers are
-// a conservative floor for real two-machine serving). Every wire pass
-// runs twice: against the default epoll event-loop engine and against the
-// legacy thread-per-connection engine, both speaking DPGW v2 (CRC32C
-// frame checksums). Reported per batch size and server mode:
+// the thread-per-connection server, speaking DPGW v2 (CRC32C frame
+// checksums). Client and server share the host's CPUs, so the numbers
+// are a conservative floor for real two-machine serving. Reported per
+// batch size:
 //
 //   wire_qps          queries/s through connect->frame->engine->frame
 //   frames_per_sec    request/response round trips per second
@@ -20,9 +18,12 @@
 //                     from the same METRICS deltas
 //
 // A pipelined pass (QueryBatchPipelined, 8 frames in flight) shows what
-// the event loop buys once the client stops waiting a full round trip
-// per frame. A checksum micro-bench compares the v1 FNV-1a fold against
-// CRC32C (software slice-by-8 and the SSE4.2 3-lane kernel) in GB/s.
+// overlapping client encode and decode with the server's work buys. A
+// fan-in pass runs K concurrent clients (one connection each) of
+// 256-query frames and reports aggregate QPS and client-side round-trip
+// p50/p99 per K. A checksum micro-bench compares the v1 FNV-1a fold
+// against CRC32C (software slice-by-8 and the SSE4.2 3-lane kernel) in
+// GB/s.
 //
 // Answers that crossed the wire are checked bitwise against the
 // in-process engine on the same snapshot — the serving layer must never
@@ -32,16 +33,19 @@
 // overrides), stamped with the CPU model, usable CPUs, compiler and git
 // revision they were measured on. Env knobs: DPGRID_SRV_POINTS (default
 // 200000), DPGRID_SRV_QUERIES (default 262144 per batch-size pass),
-// DPGRID_SRV_REPS (default 3), DPGRID_SEED.
+// DPGRID_SRV_REPS (default 3), DPGRID_SEED. A fan-in pass sends the
+// query set eight times over, split across its clients.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -70,7 +74,6 @@ using bench::EnvInt;
 using bench::NowSeconds;
 
 struct PassResult {
-  const char* mode = "";
   size_t batch_size = 0;
   double wire_qps = 0.0;
   double frames_per_sec = 0.0;
@@ -112,8 +115,102 @@ void StageMeans(const obs::MetricsSnapshot& before,
   }
 }
 
-const char* ModeName(ServeMode mode) {
-  return mode == ServeMode::kEventLoop ? "event-loop" : "thread-per-conn";
+struct FanInResult {
+  size_t clients = 0;
+  size_t frames = 0;
+  double wire_qps = 0.0;
+  // Client-side round trip per frame, over every client's frames.
+  double rtt_p50_us = 0.0;
+  double rtt_p99_us = 0.0;
+  bool bitwise_equal = false;
+};
+
+// Fan-in pass: `clients` threads, each on its own connection, send
+// `total_frames` 256-query frames between them, frame f answering the
+// f-th 256-query slice of `queries` (wrapping around). Each answer slice
+// is checked bitwise against `local`. Best wall time of `reps` wins, with
+// that rep's round-trip percentiles. Returns false on a failed connect
+// or frame.
+bool RunFanIn(uint16_t port, const std::vector<Rect>& queries,
+              const std::vector<double>& local, size_t clients,
+              size_t total_frames, int reps, FanInResult* out,
+              std::string* error) {
+  constexpr size_t kFrame = 256;
+  const size_t slices = (queries.size() + kFrame - 1) / kFrame;
+  const size_t per_client = std::max<size_t>(1, total_frames / clients);
+  out->clients = clients;
+  out->frames = per_client * clients;
+  out->bitwise_equal = true;
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    std::vector<QueryClient> conns(clients);
+    for (QueryClient& c : conns) {
+      if (!c.Connect("127.0.0.1", port, error)) return false;
+    }
+    std::vector<std::vector<double>> rtts(clients);
+    std::vector<char> ok(clients, 1);
+    std::vector<char> equal(clients, 1);
+    std::latch ready(static_cast<std::ptrdiff_t>(clients));
+    std::latch go(1);
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (size_t c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        std::vector<double> answers;
+        std::string err;
+        rtts[c].reserve(per_client);
+        ready.count_down();
+        go.wait();
+        for (size_t j = 0; j < per_client; ++j) {
+          const size_t off = ((c + j * clients) % slices) * kFrame;
+          const size_t n = std::min(kFrame, queries.size() - off);
+          uint64_t version = 0;
+          const double t0 = NowSeconds();
+          if (!conns[c].QueryBatch(
+                  "bench", std::span<const Rect>(queries.data() + off, n),
+                  &answers, &version, nullptr, &err)) {
+            ok[c] = 0;
+            return;
+          }
+          rtts[c].push_back(1e6 * (NowSeconds() - t0));
+          if (answers.size() != n ||
+              std::memcmp(answers.data(), local.data() + off,
+                          n * sizeof(double)) != 0) {
+            equal[c] = 0;
+          }
+        }
+      });
+    }
+    ready.wait();
+    const double t0 = NowSeconds();
+    go.count_down();
+    for (std::thread& t : threads) t.join();
+    const double wall = NowSeconds() - t0;
+    if (std::find(ok.begin(), ok.end(), 0) != ok.end()) {
+      *error = "fan-in frame failed";
+      return false;
+    }
+    const bool all_equal = std::find(equal.begin(), equal.end(), 0) ==
+                           equal.end();
+    out->bitwise_equal = out->bitwise_equal && all_equal;
+    if (wall < best) {
+      best = wall;
+      std::vector<double> all;
+      for (const std::vector<double>& v : rtts) {
+        all.insert(all.end(), v.begin(), v.end());
+      }
+      std::sort(all.begin(), all.end());
+      out->rtt_p50_us = all[all.size() / 2];
+      out->rtt_p99_us = all[std::min(all.size() - 1, all.size() * 99 / 100)];
+    }
+  }
+  size_t queries_per_rep = 0;
+  for (size_t f = 0; f < out->frames; ++f) {
+    const size_t off = (f % slices) * kFrame;
+    queries_per_rep += std::min(kFrame, queries.size() - off);
+  }
+  out->wire_qps = static_cast<double>(queries_per_rep) / best;
+  return true;
 }
 
 // Best-of-reps throughput of `digest` over `buf`, in GB/s. The digest
@@ -238,132 +335,146 @@ int main() {
   const double inprocess_qps = static_cast<double>(num_queries) / t_local;
   std::printf("\nin-process engine: %.0f QPS\n", inprocess_qps);
 
-  // --- server + client, both engines ---------------------------------------
+  // --- server + client ----------------------------------------------------
   const size_t kBatchSizes[] = {256, 4096, 65536};
-  const ServeMode kModes[] = {ServeMode::kEventLoop,
-                              ServeMode::kThreadPerConnection};
   std::vector<PassResult> results;
   bool all_equal = digests_match;
+  QueryServer server(&catalog, &engine);
+  if (!server.Start(&error)) {
+    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
+    return 1;
+  }
+  QueryClient client;
+  if (!client.Connect("127.0.0.1", server.port(), &error)) {
+    std::fprintf(stderr, "connect failed: %s\n", error.c_str());
+    return 1;
+  }
+
+  std::printf("\n%-12s %14s %14s %12s %10s %8s %8s %8s %8s\n", "batch_size",
+              "wire QPS", "frames/s", "overhead", "bitwise", "p50us", "p95us",
+              "p99us", "maxus");
+  for (const size_t batch : kBatchSizes) {
+    obs::MetricsSnapshot before;
+    if (!client.Metrics(nullptr, &before, &error)) {
+      std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
+      return 1;
+    }
+    std::vector<double> wire(num_queries);
+    std::vector<double> answers;
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      const double t0 = NowSeconds();
+      for (size_t off = 0; off < num_queries; off += batch) {
+        const size_t n = std::min(batch, num_queries - off);
+        uint64_t version = 0;
+        if (!client.QueryBatch(
+                "bench", std::span<const Rect>(queries.data() + off, n),
+                &answers, &version, nullptr, &error)) {
+          std::fprintf(stderr, "query failed: %s\n", error.c_str());
+          return 1;
+        }
+        std::copy(answers.begin(), answers.end(), wire.begin() + off);
+      }
+      best = std::min(best, NowSeconds() - t0);
+    }
+    obs::MetricsSnapshot after;
+    if (!client.Metrics(nullptr, &after, &error)) {
+      std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
+      return 1;
+    }
+    const obs::HistogramSnapshot pass_latency =
+        QueryBatchLatency(after).Delta(QueryBatchLatency(before));
+    PassResult res;
+    res.batch_size = batch;
+    res.wire_qps = static_cast<double>(num_queries) / best;
+    res.frames_per_sec =
+        static_cast<double>((num_queries + batch - 1) / batch) / best;
+    res.overhead = 1.0 - res.wire_qps / inprocess_qps;
+    res.bitwise_equal = wire == local;
+    res.p50_us = pass_latency.P50();
+    res.p95_us = pass_latency.P95();
+    res.p99_us = pass_latency.P99();
+    res.max_us = pass_latency.max_us;
+    StageMeans(before, after, res.stage_mean_us);
+    all_equal = all_equal && res.bitwise_equal;
+    results.push_back(res);
+    std::printf("%-12zu %14.0f %14.1f %11.1f%% %10s %8.0f %8.0f %8.0f %8llu\n",
+                batch, res.wire_qps, res.frames_per_sec, 100.0 * res.overhead,
+                res.bitwise_equal ? "yes" : "NO", res.p50_us, res.p95_us,
+                res.p99_us, static_cast<unsigned long long>(res.max_us));
+    std::printf("%-12s stage means:", "");
+    for (size_t st = 0; st < obs::kNumStages; ++st) {
+      std::printf(" %s=%.1fus", obs::StageName(st), res.stage_mean_us[st]);
+    }
+    std::printf("\n");
+  }
+
+  // Pipelined pass: same 4096-query frames, but up to 8 in flight on the
+  // connection instead of one blocking round trip each.
   double pipelined_qps = 0.0;
   double pipelined_fps = 0.0;
   bool pipelined_equal = false;
-
-  for (const ServeMode mode : kModes) {
-    QueryServerOptions server_options;
-    server_options.mode = mode;
-    QueryServer server(&catalog, &engine, server_options);
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "server start failed: %s\n", error.c_str());
-      return 1;
-    }
-    QueryClient client;
-    if (!client.Connect("127.0.0.1", server.port(), &error)) {
-      std::fprintf(stderr, "connect failed: %s\n", error.c_str());
-      return 1;
-    }
-
-    std::printf("\n--- %s ---\n%-12s %14s %14s %12s %10s %8s %8s %8s %8s\n",
-                ModeName(mode), "batch_size", "wire QPS", "frames/s",
-                "overhead", "bitwise", "p50us", "p95us", "p99us", "maxus");
-    for (const size_t batch : kBatchSizes) {
-      obs::MetricsSnapshot before;
-      if (!client.Metrics(nullptr, &before, &error)) {
-        std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
+  {
+    std::vector<double> wire;
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      uint64_t version = 0;
+      WireStatus status = WireStatus::kOk;
+      const double t0 = NowSeconds();
+      if (!client.QueryBatchPipelined("bench", queries, 4096, 8, &wire,
+                                      &version, &status, &error)) {
+        std::fprintf(stderr, "pipelined query failed: %s\n", error.c_str());
         return 1;
       }
-      std::vector<double> wire(num_queries);
-      std::vector<double> answers;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        const double t0 = NowSeconds();
-        for (size_t off = 0; off < num_queries; off += batch) {
-          const size_t n = std::min(batch, num_queries - off);
-          uint64_t version = 0;
-          if (!client.QueryBatch(
-                  "bench", std::span<const Rect>(queries.data() + off, n),
-                  &answers, &version, nullptr, &error)) {
-            std::fprintf(stderr, "query failed: %s\n", error.c_str());
-            return 1;
-          }
-          std::copy(answers.begin(), answers.end(), wire.begin() + off);
-        }
-        best = std::min(best, NowSeconds() - t0);
-      }
-      obs::MetricsSnapshot after;
-      if (!client.Metrics(nullptr, &after, &error)) {
-        std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
-        return 1;
-      }
-      const obs::HistogramSnapshot pass_latency =
-          QueryBatchLatency(after).Delta(QueryBatchLatency(before));
-      PassResult res;
-      res.mode = ModeName(mode);
-      res.batch_size = batch;
-      res.wire_qps = static_cast<double>(num_queries) / best;
-      res.frames_per_sec =
-          static_cast<double>((num_queries + batch - 1) / batch) / best;
-      res.overhead = 1.0 - res.wire_qps / inprocess_qps;
-      res.bitwise_equal = wire == local;
-      res.p50_us = pass_latency.P50();
-      res.p95_us = pass_latency.P95();
-      res.p99_us = pass_latency.P99();
-      res.max_us = pass_latency.max_us;
-      StageMeans(before, after, res.stage_mean_us);
-      all_equal = all_equal && res.bitwise_equal;
-      results.push_back(res);
-      std::printf("%-12zu %14.0f %14.1f %11.1f%% %10s %8.0f %8.0f %8.0f %8llu\n",
-                  batch, res.wire_qps, res.frames_per_sec,
-                  100.0 * res.overhead, res.bitwise_equal ? "yes" : "NO",
-                  res.p50_us, res.p95_us, res.p99_us,
-                  static_cast<unsigned long long>(res.max_us));
-      std::printf("%-12s stage means:", "");
-      for (size_t st = 0; st < obs::kNumStages; ++st) {
-        std::printf(" %s=%.1fus", obs::StageName(st), res.stage_mean_us[st]);
-      }
-      std::printf("\n");
+      best = std::min(best, NowSeconds() - t0);
     }
-
-    if (mode == ServeMode::kEventLoop) {
-      // Pipelined pass: same 4096-query frames, but up to 8 in flight on
-      // the connection instead of one blocking round trip each.
-      std::vector<double> wire;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        uint64_t version = 0;
-        WireStatus status = WireStatus::kOk;
-        const double t0 = NowSeconds();
-        if (!client.QueryBatchPipelined("bench", queries, 4096, 8, &wire,
-                                        &version, &status, &error)) {
-          std::fprintf(stderr, "pipelined query failed: %s\n", error.c_str());
-          return 1;
-        }
-        best = std::min(best, NowSeconds() - t0);
-      }
-      pipelined_qps = static_cast<double>(num_queries) / best;
-      pipelined_fps = static_cast<double>((num_queries + 4095) / 4096) / best;
-      pipelined_equal = wire == local;
-      all_equal = all_equal && pipelined_equal;
-      std::printf("%-12s %14.0f %14.1f %11.1f%% %10s\n", "4096 (pipe8)",
-                  pipelined_qps, pipelined_fps,
-                  100.0 * (1.0 - pipelined_qps / inprocess_qps),
-                  pipelined_equal ? "yes" : "NO");
-    }
-
-    const WireStats stats = server.StatsSnapshot();
-    std::printf("server counters: %llu frames, %llu queries, %llu errors\n",
-                static_cast<unsigned long long>(stats.frames_received),
-                static_cast<unsigned long long>(stats.queries_answered),
-                static_cast<unsigned long long>(stats.errors_returned));
-    client.Close();
-    server.Shutdown();
+    pipelined_qps = static_cast<double>(num_queries) / best;
+    pipelined_fps = static_cast<double>((num_queries + 4095) / 4096) / best;
+    pipelined_equal = wire == local;
+    all_equal = all_equal && pipelined_equal;
+    std::printf("%-12s %14.0f %14.1f %11.1f%% %10s\n", "4096 (pipe8)",
+                pipelined_qps, pipelined_fps,
+                100.0 * (1.0 - pipelined_qps / inprocess_qps),
+                pipelined_equal ? "yes" : "NO");
   }
+  client.Close();
+
+  // Fan-in pass: K concurrent clients of 256-query frames. Stops at 64
+  // so client plus server threads stay in the low hundreds.
+  const size_t kFanIn[] = {1, 4, 16, 64};
+  const size_t fanin_frames = 8 * ((num_queries + 255) / 256);
+  std::vector<FanInResult> fanin;
+  std::printf("\nfan-in, 256-query frames, %zu frames per pass\n"
+              "%-8s %14s %10s %10s %10s\n",
+              fanin_frames, "clients", "wire QPS", "rtt p50us", "rtt p99us",
+              "bitwise");
+  for (const size_t k : kFanIn) {
+    FanInResult res;
+    if (!RunFanIn(server.port(), queries, local, k, fanin_frames, reps, &res,
+                  &error)) {
+      std::fprintf(stderr, "fan-in K=%zu failed: %s\n", k, error.c_str());
+      return 1;
+    }
+    all_equal = all_equal && res.bitwise_equal;
+    fanin.push_back(res);
+    std::printf("%-8zu %14.0f %10.0f %10.0f %10s\n", k, res.wire_qps,
+                res.rtt_p50_us, res.rtt_p99_us,
+                res.bitwise_equal ? "yes" : "NO");
+  }
+
+  const WireStats stats = server.StatsSnapshot();
+  std::printf("server counters: %llu frames, %llu queries, %llu errors\n",
+              static_cast<unsigned long long>(stats.frames_received),
+              static_cast<unsigned long long>(stats.queries_answered),
+              static_cast<unsigned long long>(stats.errors_returned));
+  server.Shutdown();
 
   // --- shed latency ---------------------------------------------------------
   // How quickly an over-capacity connection gets its kOverloaded verdict:
   // the time an upstream load balancer is stuck holding a doomed
   // connection before it can fail over. A one-slot server is pinned by a
   // blocker client; each trial connects, reads the unsolicited verdict
-  // frame, and closes. Runs on the default (event-loop) engine.
+  // frame, and closes.
   const int shed_trials =
       static_cast<int>(EnvInt("DPGRID_SRV_SHED_TRIALS", 200));
   QueryServerOptions shed_options;
@@ -474,14 +585,14 @@ int main() {
       stages += field;
     }
     std::fprintf(f,
-                 "    {\"server_mode\": \"%s\", \"batch_size\": %zu, "
+                 "    {\"batch_size\": %zu, "
                  "\"wire_qps\": %.0f, "
                  "\"frames_per_sec\": %.1f, \"overhead_vs_inprocess\": %.4f, "
                  "\"latency_p50_us\": %.1f, \"latency_p95_us\": %.1f, "
                  "\"latency_p99_us\": %.1f, \"latency_max_us\": %llu, "
                  "\"stage_mean_us\": {%s}, "
                  "\"bitwise_equal_inprocess\": %s}%s\n",
-                 r.mode, r.batch_size, r.wire_qps, r.frames_per_sec,
+                 r.batch_size, r.wire_qps, r.frames_per_sec,
                  r.overhead, r.p50_us, r.p95_us, r.p99_us,
                  static_cast<unsigned long long>(r.max_us), stages.c_str(),
                  r.bitwise_equal ? "true" : "false",
@@ -490,13 +601,28 @@ int main() {
   std::fprintf(f,
                "  ],\n"
                "  \"pipelined\": {\n"
-               "    \"server_mode\": \"event-loop\",\n"
                "    \"batch_size\": 4096,\n"
                "    \"window\": 8,\n"
                "    \"wire_qps\": %.0f,\n"
                "    \"frames_per_sec\": %.1f,\n"
                "    \"bitwise_equal_inprocess\": %s\n"
                "  },\n"
+               "  \"fan_in\": [\n",
+               pipelined_qps, pipelined_fps,
+               pipelined_equal ? "true" : "false");
+  for (size_t i = 0; i < fanin.size(); ++i) {
+    const FanInResult& r = fanin[i];
+    std::fprintf(f,
+                 "    {\"clients\": %zu, \"batch_size\": 256, "
+                 "\"frames\": %zu, \"wire_qps\": %.0f, "
+                 "\"rtt_p50_us\": %.1f, \"rtt_p99_us\": %.1f, "
+                 "\"bitwise_equal_inprocess\": %s}%s\n",
+                 r.clients, r.frames, r.wire_qps, r.rtt_p50_us, r.rtt_p99_us,
+                 r.bitwise_equal ? "true" : "false",
+                 i + 1 < fanin.size() ? "," : "");
+  }
+  std::fprintf(f,
+               "  ],\n"
                "  \"resilience\": {\n"
                "    \"shed_trials\": %d,\n"
                "    \"shed_max_connections\": 1,\n"
@@ -504,9 +630,8 @@ int main() {
                "    \"shed_latency_max_us\": %.1f,\n"
                "    \"verdicts_decoded\": %s\n"
                "  }\n}\n",
-               pipelined_qps, pipelined_fps,
-               pipelined_equal ? "true" : "false", shed_trials, shed_p50,
-               shed_max, all_verdicts_decoded ? "true" : "false");
+               shed_trials, shed_p50, shed_max,
+               all_verdicts_decoded ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);
 

@@ -17,9 +17,9 @@
 // in-flight frames finish up to DPGRID_DRAIN_MS, then cut stragglers.
 // Resilience knobs (all env, see QueryServerOptions for semantics;
 // 0 disables): DPGRID_READ_DEADLINE_MS, DPGRID_IDLE_TIMEOUT_MS,
-// DPGRID_MAX_CONNS, DPGRID_DRAIN_MS. DPGRID_EVENT_LOOP=0 falls back to
-// the legacy thread-per-connection engine (default: epoll event loop
-// with pipelined frames). Observability knobs: DPGRID_SLOW_FRAME_US
+// DPGRID_MAX_CONNS, DPGRID_DRAIN_MS. Each connection is served by its
+// own handler thread, so DPGRID_MAX_CONNS also caps those threads.
+// Observability knobs: DPGRID_SLOW_FRAME_US
 // (slow-frame trace threshold, 0 disables) and DPGRID_LOG_LEVEL
 // (debug|info|warn|error|off; default info).
 //
@@ -138,8 +138,7 @@ int main(int argc, char** argv) {
   obs::Log(obs::LogLevel::kInfo, "startup",
            {{"address", options.bind_address},
             {"port", std::to_string(server.port())},
-            {"engine", server.event_loop_active() ? "epoll"
-                                                  : "thread-per-connection"},
+            {"engine", "thread-per-connection"},
             {"protocol_version", std::to_string(kWireProtocolVersion)}});
   const long reload_secs =
       std::getenv("DPGRID_RELOAD_SECS") != nullptr

@@ -34,7 +34,7 @@ struct LogField {
 };
 
 /// Emits one structured record:
-///   2026-08-08T12:00:00.123Z level=info event=startup engine=epoll ...
+///   2026-08-08T12:00:00.123Z level=info event=startup port=7171 ...
 /// Values containing spaces or quotes are double-quoted. info/debug go
 /// to stdout (flushed), warn/error to stderr, matching how dpgrid_server
 /// has always split its prints.

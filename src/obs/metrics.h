@@ -198,7 +198,7 @@ class MetricsRegistry {
   }
 
   /// A verified frame entered dispatch (counted before it is answered,
-  /// so a METRICS frame counts itself identically in both engines).
+  /// so a METRICS frame counts itself).
   void OnRequest(uint32_t op, uint64_t bytes_in);
   /// Dispatch produced a response body for the frame.
   void OnResponse(uint32_t op, uint64_t bytes_out, bool error);

@@ -13,11 +13,10 @@
 namespace dpgrid {
 namespace obs {
 
-/// Where a frame spent its time, in wire order. Both serving engines
-/// record all six stages for every completed frame (the legacy
-/// thread-per-connection engine records 0 for kStageQueueWait — it has no
-/// queue), so stage histogram sample counts are engine-independent for
-/// the same traffic.
+/// Where a frame spent its time, in wire order. The server records all
+/// six stages for every completed frame, so each stage histogram's sample
+/// count equals the frame count. It has no queue, so kStageQueueWait
+/// reads 0; the stage keeps its slot in the wire layout and in METRICS.
 enum Stage : uint32_t {
   kStageRead = 0,   // first header byte arrived -> body verified
   kStageDecode,     // request body decoded (QUERY_BATCH only)

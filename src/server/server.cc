@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "common/env.h"
-#include "server/event_loop.h"
 #include "server/socket_io.h"
 
 #ifndef _WIN32
@@ -64,25 +62,11 @@ obs::MetricsSnapshot QueryServer::MetricsSnapshotNow() const {
 }
 
 size_t QueryServer::active_connections() const {
-  if (loop_mode_) return loop_connections_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(conn_mu_);
   return conn_threads_.size();
 }
 
 #ifndef _WIN32
-
-bool QueryServer::UseEventLoop() const {
-  switch (options_.mode) {
-    case ServeMode::kEventLoop:
-      return true;
-    case ServeMode::kThreadPerConnection:
-      return false;
-    case ServeMode::kAuto:
-      break;
-  }
-  const char* env = std::getenv("DPGRID_EVENT_LOOP");
-  return env == nullptr || std::string_view(env) != "0";
-}
 
 bool QueryServer::Start(std::string* error) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
@@ -150,20 +134,7 @@ bool QueryServer::Start(std::string* error) {
   stopping_.store(false, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  loop_mode_ = UseEventLoop();
-  if (loop_mode_) {
-    loop_connections_.store(0, std::memory_order_relaxed);
-    loop_ = std::make_unique<internal::EventLoopServer>(this, listen_fd_);
-    if (!loop_->Start(error)) {
-      loop_.reset();
-      ::close(listen_fd_);  // Start failure means the loop never adopted it
-      listen_fd_ = -1;
-      running_.store(false, std::memory_order_release);
-      return false;
-    }
-  } else {
-    accept_thread_ = std::thread(&QueryServer::AcceptLoop, this);
-  }
+  accept_thread_ = std::thread(&QueryServer::AcceptLoop, this);
   started_ = true;
   return true;
 }
@@ -181,19 +152,6 @@ bool QueryServer::DoShutdown(int drain_ms) {
   // the drain window already reports DRAINING.
   if (drain_ms > 0) draining_.store(true, std::memory_order_release);
   stopping_.store(true, std::memory_order_release);
-  if (loop_) {
-    // Event-loop engine: the loop owns the listen fd and every connection;
-    // Stop() closes the listener, drains (or cuts) connections, and joins
-    // the loop and handler threads.
-    const bool drained = loop_->Stop(drain_ms);
-    loop_.reset();
-    listen_fd_ = -1;
-    loop_connections_.store(0, std::memory_order_relaxed);
-    running_.store(false, std::memory_order_release);
-    draining_.store(false, std::memory_order_release);
-    started_ = false;
-    return drained;
-  }
   // Unblock accept(): shutdown() wakes a blocked accept on Linux; on
   // BSD-family systems shutdown of a listening socket fails (ENOTCONN)
   // and the close() is what wakes it. The loop re-checks stopping_ at the
@@ -424,11 +382,28 @@ void QueryServer::HandleConnection(int fd) {
 }
 
 void QueryServer::ServeFrames(int fd) {
-  // Capacity a connection may keep between frames; bigger one-off frames
-  // are served but their buffers are released afterwards.
+  // Capacity an idle connection may keep. A streaming connection keeps
+  // buffers of any size from frame to frame; once it goes idle, anything
+  // above this is given back.
   constexpr size_t kRetainedBodyCapacity = 1 << 20;
   std::string body;
   ConnectionScratch scratch;
+  const auto release_oversized_buffers = [&] {
+    if (body.capacity() > kRetainedBodyCapacity) {
+      std::string().swap(body);
+    }
+    if (scratch.response_body.capacity() > kRetainedBodyCapacity) {
+      std::string().swap(scratch.response_body);
+    }
+    if (scratch.answers.capacity() * sizeof(double) >
+        kRetainedBodyCapacity) {
+      std::vector<double>().swap(scratch.answers);
+    }
+    if (scratch.request.queries.capacity() * sizeof(Rect) >
+        kRetainedBodyCapacity) {
+      std::vector<Rect>().swap(scratch.request.queries);
+    }
+  };
   // Wire version negotiated by the connection's first frame; responses
   // echo it, and a later frame switching versions is malformed.
   uint32_t conn_version = 0;
@@ -463,6 +438,9 @@ void QueryServer::ServeFrames(int fd) {
       const net::IoResult r = net::WaitFd(fd, POLLIN, slice);
       if (r == net::IoResult::kOk) break;
       if (r != net::IoResult::kTimeout) return;
+      // No frame within a slice: the connection has gone idle. The first
+      // such slice gives the big buffers back; later ones find nothing.
+      release_oversized_buffers();
     }
 
     // Frame phase: once the first byte is here, the whole frame (header +
@@ -551,9 +529,9 @@ void QueryServer::ServeFrames(int fd) {
     }
 
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    // This engine has no queue: a frame goes from verified straight into
-    // dispatch, so kStageQueueWait stays 0 and stage sample counts still
-    // match the event-loop engine for the same traffic.
+    // There is no queue: a frame goes from verified straight into
+    // dispatch, so kStageQueueWait stays 0 and every stage still gets one
+    // sample per frame.
     obs::FrameTrace trace;
     trace.request_id = request_id;
     trace.stage_us[obs::kStageRead] = obs::NowMicros() - frame_start_us;
@@ -574,20 +552,6 @@ void QueryServer::ServeFrames(int fd) {
     if (io != net::IoResult::kOk) return;
     trace.stage_us[obs::kStageWrite] = obs::NowMicros() - write_start_us;
     metrics_.OnFrameDone(trace);
-    if (body.capacity() > kRetainedBodyCapacity) {
-      std::string().swap(body);
-    }
-    if (scratch.response_body.capacity() > kRetainedBodyCapacity) {
-      std::string().swap(scratch.response_body);
-    }
-    if (scratch.answers.capacity() * sizeof(double) >
-        kRetainedBodyCapacity) {
-      std::vector<double>().swap(scratch.answers);
-    }
-    if (scratch.request.queries.capacity() * sizeof(Rect) >
-        kRetainedBodyCapacity) {
-      std::vector<Rect>().swap(scratch.request.queries);
-    }
     if (!scratch.request.queries_nd.empty()) {
       // N-d boxes own per-box heap storage; don't retain them at all.
       std::vector<BoxNd>().swap(scratch.request.queries_nd);
@@ -612,7 +576,6 @@ void QueryServer::HandleConnection(int) {}
 void QueryServer::ServeFrames(int) {}
 void QueryServer::ShedConnection(int) {}
 void QueryServer::ReapFinishedThreads() {}
-bool QueryServer::UseEventLoop() const { return false; }
 
 #endif  // _WIN32
 
@@ -620,7 +583,7 @@ void QueryServer::DispatchFrame(WireOp op, const std::string& body,
                                 ConnectionScratch* scratch,
                                 obs::FrameTrace* trace) {
   // Counted at dispatch entry, not exit, so a METRICS frame's own request
-  // is already in the snapshot it serves — identically in both engines.
+  // is already in the snapshot it serves.
   metrics_.OnRequest(static_cast<uint32_t>(op),
                      kWireHeaderSize + body.size());
   if (trace != nullptr) trace->op = static_cast<uint32_t>(op);

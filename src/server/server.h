@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -17,24 +16,6 @@
 #include "server/wire.h"
 
 namespace dpgrid {
-
-namespace internal {
-class EventLoopServer;
-}  // namespace internal
-
-/// How QueryServer multiplexes its connections.
-enum class ServeMode {
-  /// Consult the DPGRID_EVENT_LOOP env var at Start (unset or "1" picks
-  /// the event loop, "0" the legacy path) — how CI runs the net/fault
-  /// suites through both engines without rebuilding.
-  kAuto,
-  /// One epoll loop serving every connection non-blocking, with pipelined
-  /// in-flight frames and handlers on a worker pool (the default engine).
-  kEventLoop,
-  /// One blocking handler thread per connection (the legacy engine, kept
-  /// selectable until removal).
-  kThreadPerConnection,
-};
 
 /// Tuning knobs for QueryServer.
 struct QueryServerOptions {
@@ -69,18 +50,6 @@ struct QueryServerOptions {
   /// The hint carried in the kOverloaded response message.
   uint32_t overload_retry_after_ms = 100;
 
-  // --- event-loop knobs (ignored by the legacy engine) --------------------
-
-  /// Which serving engine runs the connections (see ServeMode).
-  ServeMode mode = ServeMode::kAuto;
-  /// Frames one connection may have in flight — read but not yet written
-  /// back — before the loop stops reading from it. The pipelining depth
-  /// and the per-connection memory bound.
-  size_t max_pipeline_frames = 32;
-  /// Worker threads running frame handlers (responses still go out in
-  /// request order per connection); values < 1 are clamped to 1.
-  int handler_threads = 1;
-
   // --- observability knobs ------------------------------------------------
 
   /// Frames slower (end to end) than this many microseconds are retained
@@ -100,8 +69,8 @@ struct DrainOptions {
 /// Per-connection buffers reused across frames: the decoded request, the
 /// answer vector, and the encoded response body keep their capacity
 /// between requests, so a steady query stream allocates nothing per
-/// frame. Oversized one-off buffers are released after the frame (see
-/// kRetainedBodyCapacity in server.cc).
+/// frame. Buffers above kRetainedBodyCapacity (server.cc) are released
+/// once the connection goes idle.
 struct ConnectionScratch {
   QueryBatchRequest request;
   std::vector<double> answers;
@@ -111,13 +80,9 @@ struct ConnectionScratch {
 /// A TCP query server speaking the DPGW wire protocol (wire.h) over POSIX
 /// sockets: the network face of a SynopsisCatalog.
 ///
-/// Two serving engines share the same observable behavior (ServeMode).
-/// The event loop (default) multiplexes every connection through one
-/// epoll thread: non-blocking reads feed a per-connection frame state
-/// machine, completed frames are dispatched to a handler worker pool, and
-/// responses are written back strictly in request order, so one
-/// connection can pipeline many in-flight frames. The legacy engine runs
-/// one blocking handler thread per connection. Either way QUERY_BATCH
+/// Each accepted connection gets one blocking handler thread, which reads
+/// a frame, answers it and writes the response before reading the next,
+/// so pipelined frames are answered strictly in request order. QUERY_BATCH
 /// bodies route through QueryEngine::AnswerAll against exactly one
 /// acquired snapshot version (the catalog guarantees a batch is never
 /// split across versions), and answers are bitwise-identical to calling
@@ -173,9 +138,9 @@ class QueryServer {
   /// Connections currently being served (handler threads alive).
   size_t active_connections() const;
 
-  /// Which engine Start picked: true while the epoll event loop is
-  /// serving, false for thread-per-connection (or before Start).
-  bool event_loop_active() const { return loop_mode_; }
+  /// Always false: connections are served thread-per-connection. Kept
+  /// for callers that report which engine served.
+  bool event_loop_active() const { return false; }
 
   /// The bound port (the actual one when options.port was 0); 0 before
   /// Start.
@@ -199,12 +164,6 @@ class QueryServer {
   }
 
  private:
-  friend class internal::EventLoopServer;
-
-  /// The engine Start will run, after resolving kAuto against the
-  /// DPGRID_EVENT_LOOP env var.
-  bool UseEventLoop() const;
-
   void AcceptLoop();
   void HandleConnection(int fd);
   /// Serves frames on `fd` until the connection should close; the exit
@@ -242,14 +201,6 @@ class QueryServer {
   // already in flight report DRAINING.
   std::atomic<bool> draining_{false};
   std::thread accept_thread_;
-
-  // Event-loop engine state: the loop owns listen_fd_ once started.
-  // `loop_mode_` is fixed by Start (no locking needed to read it) and
-  // `loop_connections_` mirrors the loop's live-connection count so
-  // active_connections() stays lock-free for handler threads.
-  std::unique_ptr<internal::EventLoopServer> loop_;
-  bool loop_mode_ = false;
-  std::atomic<size_t> loop_connections_{0};
 
   /// Joins and drops the handles of handler threads that have finished.
   void ReapFinishedThreads();

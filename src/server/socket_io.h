@@ -259,20 +259,6 @@ inline bool WriteFull(int fd, const void* buf, size_t n) {
   return WriteFullDeadline(fd, buf, n, Deadline::None()) == IoResult::kOk;
 }
 
-/// Two-buffer gathered write; false on error.
-inline bool WriteFull2(int fd, const void* a, size_t an, const void* b,
-                       size_t bn) {
-  return WriteFull2Deadline(fd, a, an, b, bn, Deadline::None()) ==
-         IoResult::kOk;
-}
-
-/// Puts `fd` into non-blocking mode (the event-loop server runs every
-/// connection non-blocking and multiplexes readiness through epoll).
-inline bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
 /// Disables Nagle's algorithm: the protocol is request/response with
 /// whole frames per write, so coalescing only adds latency. Returns false
 /// when the option cannot be set (a dead or bogus fd) so callers can shed

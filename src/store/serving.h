@@ -1,13 +1,11 @@
 #ifndef DPGRID_STORE_SERVING_H_
 #define DPGRID_STORE_SERVING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
-#include <version>
 
 #include "common/check.h"
 #include "query/query_engine.h"
@@ -26,9 +24,10 @@ namespace dpgrid {
 /// synopsis is freed when the last reader drops it. No reader ever blocks
 /// on a publish for longer than the pointer swap itself.
 ///
-/// The pointer slot uses std::atomic<std::shared_ptr> where the standard
-/// library provides it and a mutex-guarded pointer otherwise; either way
-/// queries run entirely outside the critical section.
+/// The pointer slot is a mutex-guarded shared_ptr. The lock covers only a
+/// reference-count bump or a pointer swap: queries run outside it, and a
+/// replaced snapshot is freed after the unlock, so no reader waits while
+/// a synopsis is destroyed.
 template <typename SynopsisT, typename QueryT>
 class BasicServingSynopsis {
  public:
@@ -113,28 +112,20 @@ class BasicServingSynopsis {
   }
 
  private:
-#ifdef __cpp_lib_atomic_shared_ptr
-  std::shared_ptr<const Snapshot> Load() const {
-    return current_.load(std::memory_order_acquire);
-  }
-  void Store(std::shared_ptr<const Snapshot> next) {
-    current_.store(std::move(next), std::memory_order_release);
-  }
-
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
-#else
   std::shared_ptr<const Snapshot> Load() const {
     std::lock_guard<std::mutex> lock(slot_mu_);
     return current_;
   }
+  // Swaps under the lock. The previous snapshot leaves in the parameter
+  // `next`, which outlives the lock guard, so it is released (possibly
+  // freeing a whole synopsis) after the unlock.
   void Store(std::shared_ptr<const Snapshot> next) {
     std::lock_guard<std::mutex> lock(slot_mu_);
-    current_ = std::move(next);
+    current_.swap(next);
   }
 
   mutable std::mutex slot_mu_;
   std::shared_ptr<const Snapshot> current_;
-#endif
 
   // Serializes writers so version auto-increment is race-free; readers
   // never take this lock.

@@ -58,10 +58,9 @@ using test::FixedQueries;
 class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Keyed on the PID, not just the test name: ctest runs this binary
-    // twice in parallel (fault_test / fault_test_threaded), and two
-    // processes on the same test would otherwise remove_all each other's
-    // directories mid-test.
+    // Keyed on the PID, not just the test name: two processes running
+    // this binary at once (say, plain and sanitizer builds) would
+    // otherwise remove_all each other's directories mid-test.
     dir_ = (std::filesystem::temp_directory_path() /
             ("dpgrid_fault_test_" + std::to_string(::getpid()) + "_" +
              ::testing::UnitTest::GetInstance()

@@ -48,10 +48,9 @@ using test::FixedQueries;
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Keyed on the PID, not just the test name: ctest runs this binary
-    // twice in parallel (server_test / server_test_threaded), and two
-    // processes on the same test would otherwise remove_all each other's
-    // directories mid-test.
+    // Keyed on the PID, not just the test name: two processes running
+    // this binary at once (say, plain and sanitizer builds) would
+    // otherwise remove_all each other's directories mid-test.
     dir_ = (std::filesystem::temp_directory_path() /
             ("dpgrid_server_test_" + std::to_string(::getpid()) + "_" +
              ::testing::UnitTest::GetInstance()
@@ -646,6 +645,60 @@ TEST_F(ServerTest, PipelinedFramesComeBackInOrderAndBitwiseIdentical) {
   EXPECT_EQ(stats.malformed_frames, 0u);
 }
 
+// --- buffer retention --------------------------------------------------------
+
+// A streaming connection keeps its request, query, answer and response
+// buffers from frame to frame, whatever their size. Big, small, big
+// batches on one connection must each come back bitwise equal to the
+// in-process engine: no stale query or answer from a bigger earlier frame
+// may leak into a later, smaller one.
+TEST_F(ServerTest, RetainedBuffersNeverLeakAcrossFrames) {
+  std::string error;
+  auto grid = MakeGrid(65);
+  ASSERT_EQ(store_->Publish("taxi", *grid, SnapshotMeta{1.0, "keep"}, &error),
+            1u)
+      << error;
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+  StartServer();
+  const auto snap = catalog_->Slot2D("taxi")->Acquire();
+  ASSERT_NE(snap, nullptr);
+
+  // 140000 queries: a 4.5 MiB request body, 4.3 MiB of decoded queries
+  // and a 1.1 MiB response, all above the 1 MiB an idle connection keeps.
+  // The third batch is big too, but smaller than the first.
+  const std::vector<std::vector<Rect>> batches = {
+      FixedQueries(data_->domain(), 140000, 66),
+      FixedQueries(data_->domain(), 100, 67),
+      FixedQueries(data_->domain(), 135000, 68),
+  };
+  // No retries: a frame answered from a stale buffer must fail here, not
+  // be repaired by a retry on a fresh connection.
+  QueryClientOptions client_options;
+  client_options.max_retries = 0;
+  QueryClient client(client_options);
+  Connect(&client);
+  std::vector<double> answers;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    uint64_t version = 0;
+    ASSERT_TRUE(client.QueryBatch("taxi", batches[b], &answers, &version,
+                                  nullptr, &error))
+        << error;
+    EXPECT_EQ(version, 1u);
+    const std::vector<double> local =
+        engine_.AnswerAll(*snap->synopsis, batches[b]);
+    ASSERT_EQ(answers.size(), local.size());
+    for (size_t i = 0; i < local.size(); ++i) {
+      ASSERT_EQ(answers[i], local[i]) << "query " << i;
+    }
+  }
+
+  const WireStats stats = server_->StatsSnapshot();
+  EXPECT_EQ(stats.batches_answered, batches.size());
+  EXPECT_EQ(stats.queries_answered, 140000u + 100u + 135000u);
+  EXPECT_EQ(stats.connections_accepted, 1u);
+}
+
 // --- METRICS ---------------------------------------------------------------
 
 TEST_F(ServerTest, MetricsOpReportsTrafficAndEvents) {
@@ -782,115 +835,6 @@ TEST_F(ServerTest, SlowFramesAreRetainedWithStageBreakdown) {
     EXPECT_GE(t.TotalUs(), 1u);
     EXPECT_GT(t.unix_s, 0u);
   }
-}
-
-// The cross-engine contract: the same traffic against the epoll event
-// loop and the legacy thread-per-connection engine must produce METRICS
-// snapshots that agree on every deterministic field (only latency values
-// may differ — never sample counts).
-TEST_F(ServerTest, MetricsServedIdenticallyByBothEngines) {
-  std::string error;
-  auto grid = MakeGrid(81);
-  ASSERT_EQ(store_->Publish("taxi", *grid, SnapshotMeta{1.0, "x"}, &error),
-            1u)
-      << error;
-  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
-
-  // Each server gets its own engine so engine_batches/engine_queries
-  // count only its traffic.
-  const QueryEngine engine_a{QueryEngineOptions{.num_threads = 1}};
-  const QueryEngine engine_b{QueryEngineOptions{.num_threads = 1}};
-  QueryServerOptions opts;
-  opts.slow_frame_us = 1'000'000'000;
-  opts.mode = ServeMode::kEventLoop;
-  QueryServer server_a(catalog_.get(), &engine_a, opts);
-  opts.mode = ServeMode::kThreadPerConnection;
-  QueryServer server_b(catalog_.get(), &engine_b, opts);
-  ASSERT_TRUE(server_a.Start(&error)) << error;
-  ASSERT_TRUE(server_b.Start(&error)) << error;
-  ASSERT_TRUE(server_a.event_loop_active());
-  ASSERT_FALSE(server_b.event_loop_active());
-
-  const std::vector<Rect> queries = FixedQueries(data_->domain(), 300, 83);
-  auto run_traffic = [&](uint16_t port, obs::MetricsSnapshot* out) {
-    QueryClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
-    std::vector<double> answers;
-    uint64_t version = 0;
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(client.QueryBatch("taxi", queries, &answers, &version,
-                                    nullptr, &error))
-          << error;
-    }
-    WireStatus status = WireStatus::kOk;
-    EXPECT_FALSE(client.QueryBatch("ghost", queries, &answers, &version,
-                                   &status, &error));
-    std::vector<CatalogEntryInfo> entries;
-    ASSERT_TRUE(client.ListSynopses(&entries, &error)) << error;
-    WireStats stats;
-    ASSERT_TRUE(client.Stats(&stats, &error)) << error;
-    ASSERT_TRUE(client.Metrics(nullptr, out, &error)) << error;
-  };
-
-  obs::MetricsSnapshot a;
-  obs::MetricsSnapshot b;
-  {
-    SCOPED_TRACE("event-loop");
-    run_traffic(server_a.port(), &a);
-  }
-  {
-    SCOPED_TRACE("thread-per-connection");
-    run_traffic(server_b.port(), &b);
-  }
-  server_a.Shutdown();
-  server_b.Shutdown();
-
-  EXPECT_EQ(a.slow_frame_us, b.slow_frame_us);
-  EXPECT_EQ(a.slow_frames, 0u);
-  EXPECT_EQ(b.slow_frames, 0u);
-  EXPECT_EQ(a.engine_batches, b.engine_batches);
-  EXPECT_EQ(a.engine_queries, b.engine_queries);
-  EXPECT_EQ(a.engine_batches_2d, b.engine_batches_2d);
-  EXPECT_EQ(a.engine_queries_2d, b.engine_queries_2d);
-  EXPECT_EQ(a.engine_batches_nd, b.engine_batches_nd);
-  EXPECT_EQ(a.engine_queries_nd, b.engine_queries_nd);
-  ASSERT_EQ(a.ops.size(), b.ops.size());
-  for (size_t i = 0; i < a.ops.size(); ++i) {
-    SCOPED_TRACE(a.ops[i].name);
-    EXPECT_EQ(a.ops[i].op, b.ops[i].op);
-    EXPECT_EQ(a.ops[i].name, b.ops[i].name);
-    EXPECT_EQ(a.ops[i].requests, b.ops[i].requests);
-    EXPECT_EQ(a.ops[i].errors, b.ops[i].errors);
-    EXPECT_EQ(a.ops[i].bytes_in, b.ops[i].bytes_in);
-    EXPECT_EQ(a.ops[i].bytes_out, b.ops[i].bytes_out);
-    EXPECT_EQ(a.ops[i].latency.count, b.ops[i].latency.count);
-  }
-  ASSERT_EQ(a.stages.size(), obs::kNumStages);
-  ASSERT_EQ(b.stages.size(), obs::kNumStages);
-  for (size_t i = 0; i < obs::kNumStages; ++i) {
-    // The legacy engine records queue_wait=0 rather than skipping the
-    // stage, so even the queue histogram agrees on sample count.
-    EXPECT_EQ(a.stages[i].count, b.stages[i].count) << obs::StageName(i);
-  }
-  ASSERT_EQ(a.datasets.size(), b.datasets.size());
-  for (size_t i = 0; i < a.datasets.size(); ++i) {
-    SCOPED_TRACE(a.datasets[i].name);
-    EXPECT_EQ(a.datasets[i].name, b.datasets[i].name);
-    EXPECT_EQ(a.datasets[i].batches, b.datasets[i].batches);
-    EXPECT_EQ(a.datasets[i].queries, b.datasets[i].queries);
-    EXPECT_EQ(a.datasets[i].errors, b.datasets[i].errors);
-    EXPECT_EQ(a.datasets[i].engine_us.count, b.datasets[i].engine_us.count);
-  }
-  // Events come from the shared catalog/store and nothing in the traffic
-  // records one, so the two reads agree exactly.
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].name, b.events[i].name);
-    EXPECT_EQ(a.events[i].count, b.events[i].count);
-    EXPECT_EQ(a.events[i].last_unix_s, b.events[i].last_unix_s);
-  }
-  EXPECT_TRUE(a.slow_traces.empty());
-  EXPECT_TRUE(b.slow_traces.empty());
 }
 
 TEST_F(ServerTest, ShutdownUnblocksIdleConnections) {
