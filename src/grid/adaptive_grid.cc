@@ -24,30 +24,29 @@ AdaptiveGrid::AdaptiveGrid(const Dataset& dataset, double epsilon, Rng& rng,
 
 std::unique_ptr<AdaptiveGrid> AdaptiveGrid::Restore(
     AdaptiveGridOptions options, int m1, GridCounts level1,
-    PrefixSum2D level1_prefix, std::vector<LeafBlock> leaves) {
+    std::vector<GridCounts> leaves) {
   DPGRID_CHECK(m1 >= 1);
   const auto m1s = static_cast<size_t>(m1);
   DPGRID_CHECK(level1.nx() == m1s && level1.ny() == m1s);
-  DPGRID_CHECK(level1_prefix.nx() == m1s && level1_prefix.ny() == m1s);
   DPGRID_CHECK(leaves.size() == m1s * m1s);
-  for (const LeafBlock& block : leaves) {
-    DPGRID_CHECK(block.prefix.has_value());
-    DPGRID_CHECK(block.prefix->nx() == block.counts.nx() &&
-                 block.prefix->ny() == block.counts.ny());
-  }
   std::unique_ptr<AdaptiveGrid> ag(new AdaptiveGrid());
   ag->options_ = options;
   ag->m1_ = m1;
   ag->level1_.emplace(std::move(level1));
-  ag->level1_prefix_.emplace(std::move(level1_prefix));
-  ag->leaves_ = std::move(leaves);
-  ag->BuildFlatIndex();
+  ag->leaves_.reserve(leaves.size());
+  for (GridCounts& counts : leaves) {
+    ag->leaves_.push_back(LeafBlock{std::move(counts), std::nullopt});
+  }
+  ag->BuildIndexes();
   return ag;
 }
 
-void AdaptiveGrid::BuildFlatIndex() {
+void AdaptiveGrid::BuildIndexes() {
+  level1_prefix_.emplace(level1_->values(), level1_->nx(), level1_->ny());
   size_t corners = 0;
-  for (const LeafBlock& block : leaves_) {
+  for (LeafBlock& block : leaves_) {
+    block.prefix.emplace(block.counts.values(), block.counts.nx(),
+                         block.counts.ny());
     corners += block.prefix->corners().size();
   }
   flat_ = FlatLeafIndex2D();
@@ -149,11 +148,8 @@ void AdaptiveGrid::Build(const Dataset& dataset, PrivacyBudget& budget,
       for (double& u : block.counts.mutable_values()) u += residual_per_leaf;
     }
     level1_->mutable_values()[cell] = v_final;
-    block.prefix.emplace(block.counts.values(), block.counts.nx(),
-                         block.counts.ny());
   }
-  level1_prefix_.emplace(level1_->values(), m1, m1);
-  BuildFlatIndex();
+  BuildIndexes();
 }
 
 double AdaptiveGrid::AnswerOne(const Rect& query) const {

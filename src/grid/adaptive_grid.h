@@ -68,13 +68,12 @@ class AdaptiveGrid : public Synopsis {
   AdaptiveGrid(const Dataset& dataset, double epsilon, Rng& rng,
                const AdaptiveGridOptions& options = {});
 
-  /// Snapshot-store restore: adopts all post-inference state (level-1
-  /// counts, leaf blocks, prefix indexes) without recomputation. `leaves`
-  /// must hold m1 × m1 blocks in row-major order, each with its prefix set.
+  /// Snapshot-store restore: adopts the post-inference counts (level 1
+  /// and one leaf grid per level-1 cell, m1 × m1 of them in row-major
+  /// order) and rebuilds every index from them as Build does.
   static std::unique_ptr<AdaptiveGrid> Restore(AdaptiveGridOptions options,
                                                int m1, GridCounts level1,
-                                               PrefixSum2D level1_prefix,
-                                               std::vector<LeafBlock> leaves);
+                                               std::vector<GridCounts> leaves);
 
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
@@ -96,10 +95,9 @@ class AdaptiveGrid : public Synopsis {
 
   const AdaptiveGridOptions& options() const { return options_; }
 
-  /// Post-inference level-1 grid, its prefix index, and the leaf blocks
-  /// (row-major per level-1 cell) — the state persisted by snapshots.
+  /// Post-inference level-1 grid and the leaf blocks (row-major per
+  /// level-1 cell); their counts are the state persisted by snapshots.
   const GridCounts& level1_counts() const { return *level1_; }
-  const PrefixSum2D& level1_prefix() const { return *level1_prefix_; }
   const std::vector<LeafBlock>& leaves() const { return leaves_; }
 
   /// The flattened leaf index behind AnswerBatch — derived state, rebuilt
@@ -112,8 +110,9 @@ class AdaptiveGrid : public Synopsis {
 
   void Build(const Dataset& dataset, PrivacyBudget& budget, Rng& rng);
 
-  /// Materializes flat_ from leaves_ (call after leaves_ is final).
-  void BuildFlatIndex();
+  /// Derives the level-1 and leaf prefix indexes and flat_ from the
+  /// counts (call once the counts are final).
+  void BuildIndexes();
 
   /// The one query implementation both Answer and AnswerBatch funnel
   /// through, keeping batch results bitwise-identical to scalar results.

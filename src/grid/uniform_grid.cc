@@ -68,23 +68,12 @@ UniformGrid::UniformGrid(const Dataset& dataset, double epsilon, Rng& rng,
   prefix_.emplace(noisy_.values(), noisy_.nx(), noisy_.ny());
 }
 
-UniformGrid::UniformGrid(GridCounts noisy, std::optional<PrefixSum2D> prefix)
-    : noisy_(std::move(noisy)), prefix_(std::move(prefix)) {
-  if (!prefix_.has_value()) {
-    prefix_.emplace(noisy_.values(), noisy_.nx(), noisy_.ny());
-  }
-  DPGRID_CHECK(prefix_->nx() == noisy_.nx() && prefix_->ny() == noisy_.ny());
+UniformGrid::UniformGrid(GridCounts noisy) : noisy_(std::move(noisy)) {
+  prefix_.emplace(noisy_.values(), noisy_.nx(), noisy_.ny());
 }
 
 std::unique_ptr<UniformGrid> UniformGrid::FromNoisyCounts(GridCounts noisy) {
-  return std::unique_ptr<UniformGrid>(
-      new UniformGrid(std::move(noisy), std::nullopt));
-}
-
-std::unique_ptr<UniformGrid> UniformGrid::Restore(GridCounts noisy,
-                                                  PrefixSum2D prefix) {
-  return std::unique_ptr<UniformGrid>(
-      new UniformGrid(std::move(noisy), std::move(prefix)));
+  return std::unique_ptr<UniformGrid>(new UniformGrid(std::move(noisy)));
 }
 
 double UniformGrid::Answer(const Rect& query) const {

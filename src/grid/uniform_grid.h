@@ -66,14 +66,10 @@ class UniformGrid : public Synopsis {
               const UniformGridOptions& options = {});
 
   /// Wraps an already-noised grid (e.g. a StreamingUniformGridBuilder
-  /// result) as a queryable UG synopsis; the prefix index is built here.
-  /// The grid must already be ε-DP — no further noise is added.
+  /// result or a decoded snapshot) as a queryable UG synopsis; the prefix
+  /// index is built here exactly as the build path builds it. The grid
+  /// must already be ε-DP — no further noise is added.
   static std::unique_ptr<UniformGrid> FromNoisyCounts(GridCounts noisy);
-
-  /// Snapshot-store restore: adopts the counts and the saved prefix index
-  /// without recomputation. `prefix` must match `noisy`'s shape.
-  static std::unique_ptr<UniformGrid> Restore(GridCounts noisy,
-                                              PrefixSum2D prefix);
 
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
@@ -84,14 +80,11 @@ class UniformGrid : public Synopsis {
   /// The grid size m that was used.
   int grid_size() const { return static_cast<int>(noisy_.nx()); }
 
-  /// The noisy cell grid.
+  /// The noisy cell grid — the release, and what snapshots persist.
   const GridCounts& noisy_counts() const { return noisy_; }
 
-  /// The prefix-sum index over the noisy grid (persisted by snapshots).
-  const PrefixSum2D& prefix() const { return *prefix_; }
-
  private:
-  UniformGrid(GridCounts noisy, std::optional<PrefixSum2D> prefix);
+  explicit UniformGrid(GridCounts noisy);
 
   GridCounts noisy_;
   std::optional<PrefixSum2D> prefix_;

@@ -34,7 +34,7 @@ HierarchyGrid::HierarchyGrid(const Dataset& dataset, double epsilon, Rng& rng,
 }
 
 std::unique_ptr<HierarchyGrid> HierarchyGrid::Restore(
-    HierarchyGridOptions options, GridCounts leaf, PrefixSum2D prefix) {
+    HierarchyGridOptions options, GridCounts leaf) {
   DPGRID_CHECK(options.depth >= 1);
   DPGRID_CHECK(options.branching >= 2 || options.depth == 1);
   DPGRID_CHECK(options.leaf_size >= 1);
@@ -42,11 +42,10 @@ std::unique_ptr<HierarchyGrid> HierarchyGrid::Restore(
                                         options.depth - 1) == 0);
   const auto m = static_cast<size_t>(options.leaf_size);
   DPGRID_CHECK(leaf.nx() == m && leaf.ny() == m);
-  DPGRID_CHECK(prefix.nx() == m && prefix.ny() == m);
   std::unique_ptr<HierarchyGrid> h(new HierarchyGrid());
   h->options_ = options;
   h->leaf_.emplace(std::move(leaf));
-  h->prefix_.emplace(std::move(prefix));
+  h->prefix_.emplace(h->leaf_->values(), h->leaf_->nx(), h->leaf_->ny());
   return h;
 }
 

@@ -47,12 +47,10 @@ class HierarchyGrid : public Synopsis {
   HierarchyGrid(const Dataset& dataset, double epsilon, Rng& rng,
                 const HierarchyGridOptions& options = {});
 
-  /// Snapshot-store restore: adopts the refined leaf grid and its prefix
-  /// index without recomputation. `leaf` must be leaf_size × leaf_size and
-  /// `prefix` must match it.
+  /// Snapshot-store restore: adopts the refined leaf grid, which must be
+  /// leaf_size × leaf_size, and rebuilds its prefix index as Build does.
   static std::unique_ptr<HierarchyGrid> Restore(HierarchyGridOptions options,
-                                                GridCounts leaf,
-                                                PrefixSum2D prefix);
+                                                GridCounts leaf);
 
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
@@ -64,9 +62,6 @@ class HierarchyGrid : public Synopsis {
 
   /// Refined (post-inference) leaf grid.
   const GridCounts& leaf_counts() const { return *leaf_; }
-
-  /// The prefix-sum index over the leaf grid (persisted by snapshots).
-  const PrefixSum2D& prefix() const { return *prefix_; }
 
   /// Grid size of level l (0 = coarsest).
   int LevelSize(int level) const;

@@ -21,12 +21,6 @@ class PrefixSum2D {
   /// Builds prefix sums from a row-major grid: values[iy * nx + ix].
   PrefixSum2D(const std::vector<double>& values, size_t nx, size_t ny);
 
-  /// Adopts a previously exported corner array (see corners()) without
-  /// recomputation, so a snapshot-restored index is bit-for-bit the one
-  /// that was saved. `corners` must hold (nx+1) * (ny+1) entries.
-  static PrefixSum2D FromRaw(std::vector<double> corners, size_t nx,
-                             size_t ny);
-
   /// Sum over the integer cell block [ix0, ix1) × [iy0, iy1).
   /// Indices are clamped to the grid.
   double BlockSum(size_t ix0, size_t ix1, size_t iy0, size_t iy1) const;
@@ -47,12 +41,10 @@ class PrefixSum2D {
   /// FracView2D for the allocation-free batched query kernel.
   const double* data() const { return prefix_.data(); }
 
-  /// The corner array as a vector; what the snapshot store persists.
+  /// The corner array as a vector; what flattened leaf indexes copy.
   const std::vector<double>& corners() const { return prefix_; }
 
  private:
-  PrefixSum2D() = default;
-
   size_t nx_;
   size_t ny_;
   // (nx+1) x (ny+1), prefix_[iy * (nx+1) + ix] = sum over [0,ix) x [0,iy).

@@ -25,37 +25,33 @@ AdaptiveGridNd::AdaptiveGridNd(const DatasetNd& dataset, double epsilon,
 
 std::unique_ptr<AdaptiveGridNd> AdaptiveGridNd::Restore(
     AdaptiveGridNdOptions options, int m1, GridNd level1,
-    PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves) {
+    std::vector<GridNd> leaves) {
   DPGRID_CHECK(m1 >= 1);
   const size_t d = level1.dims();
-  DPGRID_CHECK(level1_prefix.dims() == d);
   size_t l1_cells = 1;
   for (size_t a = 0; a < d; ++a) {
     DPGRID_CHECK(level1.sizes()[a] == static_cast<size_t>(m1));
-    DPGRID_CHECK(level1_prefix.sizes()[a] == static_cast<size_t>(m1));
     l1_cells *= static_cast<size_t>(m1);
   }
   DPGRID_CHECK(leaves.size() == l1_cells);
-  for (const LeafBlock& block : leaves) {
-    DPGRID_CHECK(block.counts.has_value() && block.prefix.has_value());
-    DPGRID_CHECK(block.counts->dims() == d && block.prefix->dims() == d);
-    for (size_t a = 0; a < d; ++a) {
-      DPGRID_CHECK(block.prefix->sizes()[a] == block.counts->sizes()[a]);
-    }
-  }
   std::unique_ptr<AdaptiveGridNd> ag(new AdaptiveGridNd());
   ag->options_ = options;
   ag->m1_ = m1;
   ag->level1_.emplace(std::move(level1));
-  ag->level1_prefix_.emplace(std::move(level1_prefix));
-  ag->leaves_ = std::move(leaves);
-  ag->BuildFlatIndex();
+  ag->leaves_.resize(leaves.size());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    DPGRID_CHECK(leaves[i].dims() == d);
+    ag->leaves_[i].counts.emplace(std::move(leaves[i]));
+  }
+  ag->BuildIndexes();
   return ag;
 }
 
-void AdaptiveGridNd::BuildFlatIndex() {
+void AdaptiveGridNd::BuildIndexes() {
+  level1_prefix_.emplace(level1_->values(), level1_->sizes());
   size_t corners = 0;
-  for (const LeafBlock& block : leaves_) {
+  for (LeafBlock& block : leaves_) {
+    block.prefix.emplace(block.counts->values(), block.counts->sizes());
     corners += block.prefix->corners().size();
   }
   flat_ = FlatLeafIndexNd();
@@ -128,10 +124,8 @@ void AdaptiveGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
       for (double& u : block.counts->mutable_values()) u += residual;
     }
     level1_->mutable_values()[i] = v_final;
-    block.prefix.emplace(block.counts->values(), block.counts->sizes());
   }
-  level1_prefix_.emplace(level1_->values(), level1_->sizes());
-  BuildFlatIndex();
+  BuildIndexes();
 }
 
 double AdaptiveGridNd::AnswerOne(const BoxNd& query) const {

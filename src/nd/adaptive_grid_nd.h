@@ -51,12 +51,12 @@ class AdaptiveGridNd : public SynopsisNd {
   AdaptiveGridNd(const DatasetNd& dataset, double epsilon, Rng& rng,
                  const AdaptiveGridNdOptions& options = {});
 
-  /// Snapshot-store restore: adopts all post-inference state without
-  /// recomputation. `leaves` must hold m1^d blocks in row-major order,
-  /// each with counts and prefix set.
+  /// Snapshot-store restore: adopts the post-inference counts (level 1
+  /// and one leaf grid per level-1 cell, m1^d of them in row-major order)
+  /// and rebuilds every index from them as Build does.
   static std::unique_ptr<AdaptiveGridNd> Restore(
       AdaptiveGridNdOptions options, int m1, GridNd level1,
-      PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves);
+      std::vector<GridNd> leaves);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -78,10 +78,9 @@ class AdaptiveGridNd : public SynopsisNd {
 
   const AdaptiveGridNdOptions& options() const { return options_; }
 
-  /// Post-inference level-1 grid, its prefix index, and the leaf blocks
-  /// (row-major per level-1 cell) — the state persisted by snapshots.
+  /// Post-inference level-1 grid and the leaf blocks (row-major per
+  /// level-1 cell); their counts are the state persisted by snapshots.
   const GridNd& level1_counts() const { return *level1_; }
-  const PrefixSumNd& level1_prefix() const { return *level1_prefix_; }
   const std::vector<LeafBlock>& leaves() const { return leaves_; }
 
   /// The flattened leaf index behind AnswerBatch — derived state, rebuilt
@@ -93,8 +92,9 @@ class AdaptiveGridNd : public SynopsisNd {
 
   void Build(const DatasetNd& dataset, PrivacyBudget& budget, Rng& rng);
 
-  /// Materializes flat_ from leaves_ (call after leaves_ is final).
-  void BuildFlatIndex();
+  /// Derives the level-1 and leaf prefix indexes and flat_ from the
+  /// counts (call once the counts are final).
+  void BuildIndexes();
 
   /// The one query implementation both Answer and AnswerBatch funnel
   /// through; runs entirely on stack scratch (no per-query allocation).

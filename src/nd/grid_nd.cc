@@ -98,24 +98,6 @@ PrefixSumNd::PrefixSumNd(const std::vector<double>& values,
   }
 }
 
-PrefixSumNd PrefixSumNd::FromRaw(std::vector<size_t> sizes,
-                                 std::vector<double> corners) {
-  DPGRID_CHECK(!sizes.empty());
-  DPGRID_CHECK_MSG(sizes.size() <= kMaxDims,
-                   "PrefixSumNd supports up to 8 dims");
-  size_t padded = 1;
-  for (size_t n : sizes) {
-    DPGRID_CHECK(n >= 1);
-    padded *= n + 1;
-  }
-  DPGRID_CHECK(corners.size() == padded);
-  PrefixSumNd p;
-  p.strides_ = ComputeStrides(sizes, 1);
-  p.sizes_ = std::move(sizes);
-  p.prefix_ = std::move(corners);
-  return p;
-}
-
 double PrefixViewNd::BlockSum(const size_t* lo, const size_t* hi) const {
   const size_t d = dims;
   size_t clo[PrefixSumNd::kMaxDims];

@@ -47,17 +47,11 @@ class PrefixSumNd {
   PrefixSumNd(const std::vector<double>& values,
               const std::vector<size_t>& sizes);
 
-  /// Adopts a previously exported corner array (see corners()) without
-  /// recomputation, so a snapshot-restored index is bit-for-bit the one
-  /// that was saved. `corners` must hold prod(sizes[a] + 1) entries.
-  static PrefixSumNd FromRaw(std::vector<size_t> sizes,
-                             std::vector<double> corners);
-
   size_t dims() const { return sizes_.size(); }
   const std::vector<size_t>& sizes() const { return sizes_; }
 
-  /// The padded corner array backing the index; what the snapshot store
-  /// persists.
+  /// The padded corner array backing the index; what flattened leaf
+  /// indexes copy.
   const std::vector<double>& corners() const { return prefix_; }
 
   /// Sum over the integer cell block [lo_a, hi_a) per axis (clamped).
@@ -85,8 +79,6 @@ class PrefixSumNd {
   double TotalSum() const;
 
  private:
-  PrefixSumNd() = default;
-
   std::vector<size_t> sizes_;
   std::vector<size_t> strides_;  // strides of the (n_a + 1)-shaped array
   std::vector<double> prefix_;

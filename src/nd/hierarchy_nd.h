@@ -38,11 +38,10 @@ class HierarchyNd : public SynopsisNd {
   HierarchyNd(const DatasetNd& dataset, double epsilon, Rng& rng,
               const HierarchyNdOptions& options = {});
 
-  /// Snapshot-store restore: adopts the refined leaf grid and its prefix
-  /// index without recomputation.
+  /// Snapshot-store restore: adopts the refined leaf grid and rebuilds
+  /// its prefix index as Build does.
   static std::unique_ptr<HierarchyNd> Restore(HierarchyNdOptions options,
-                                              GridNd leaf,
-                                              PrefixSumNd prefix);
+                                              GridNd leaf);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -58,9 +57,6 @@ class HierarchyNd : public SynopsisNd {
   const GridNd& leaf_counts() const { return *leaf_; }
 
   const HierarchyNdOptions& options() const { return options_; }
-
-  /// The prefix-sum index over the leaf grid (persisted by snapshots).
-  const PrefixSumNd& prefix() const { return *prefix_; }
 
  private:
   HierarchyNd() = default;

@@ -35,19 +35,16 @@ void UniformGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
 }
 
 std::unique_ptr<UniformGridNd> UniformGridNd::Restore(
-    UniformGridNdOptions options, int grid_size, GridNd noisy,
-    PrefixSumNd prefix) {
+    UniformGridNdOptions options, int grid_size, GridNd noisy) {
   DPGRID_CHECK(grid_size >= 1);
-  DPGRID_CHECK(noisy.dims() == prefix.dims());
-  for (size_t a = 0; a < noisy.dims(); ++a) {
-    DPGRID_CHECK(noisy.sizes()[a] == static_cast<size_t>(grid_size));
-    DPGRID_CHECK(prefix.sizes()[a] == noisy.sizes()[a]);
+  for (size_t n : noisy.sizes()) {
+    DPGRID_CHECK(n == static_cast<size_t>(grid_size));
   }
   std::unique_ptr<UniformGridNd> ug(new UniformGridNd());
   ug->options_ = options;
   ug->grid_size_ = grid_size;
   ug->noisy_.emplace(std::move(noisy));
-  ug->prefix_.emplace(std::move(prefix));
+  ug->prefix_.emplace(ug->noisy_->values(), ug->noisy_->sizes());
   return ug;
 }
 

@@ -32,11 +32,10 @@ class UniformGridNd : public SynopsisNd {
   UniformGridNd(const DatasetNd& dataset, double epsilon, Rng& rng,
                 const UniformGridNdOptions& options = {});
 
-  /// Snapshot-store restore: adopts the noisy grid and its prefix index
-  /// without recomputation.
+  /// Snapshot-store restore: adopts the noisy grid and rebuilds its
+  /// prefix index as Build does.
   static std::unique_ptr<UniformGridNd> Restore(UniformGridNdOptions options,
-                                                int grid_size, GridNd noisy,
-                                                PrefixSumNd prefix);
+                                                int grid_size, GridNd noisy);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -48,9 +47,6 @@ class UniformGridNd : public SynopsisNd {
   int grid_size() const { return grid_size_; }
   const GridNd& noisy_counts() const { return *noisy_; }
   const UniformGridNdOptions& options() const { return options_; }
-
-  /// The prefix-sum index over the noisy grid (persisted by snapshots).
-  const PrefixSumNd& prefix() const { return *prefix_; }
 
  private:
   UniformGridNd() = default;

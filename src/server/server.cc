@@ -212,15 +212,25 @@ void QueryServer::ReapFinishedThreads() {
 
 namespace {
 
-// Reads a frame body in bounded chunks: memory is committed only as bytes
-// actually arrive, so a header CLAIMING a huge body (the size field is
-// attacker-controlled) cannot make the server pre-allocate it. The whole
-// body shares the frame's read deadline.
+// Reads a frame body into `body`, the connection's retained buffer. The
+// bytes it already holds are reused as they are; past them it grows in
+// bounded chunks, so memory is committed only as bytes actually arrive and
+// a header CLAIMING a huge body (the size field is attacker-controlled)
+// cannot make the server pre-allocate it. Reusing the held bytes spares a
+// steady stream of same-size frames the zero-fill of every resize. The
+// whole body shares the frame's read deadline.
 net::IoResult ReadBodyChunked(int fd, uint64_t body_size,
                               const net::Deadline& deadline,
                               std::string* body) {
   constexpr size_t kChunk = 256 * 1024;
-  body->clear();
+  const auto reused =
+      static_cast<size_t>(std::min<uint64_t>(body->size(), body_size));
+  body->resize(reused);  // shrinking never fills
+  if (reused > 0) {
+    const net::IoResult r =
+        net::ReadFullDeadline(fd, body->data(), reused, deadline);
+    if (r != net::IoResult::kOk) return r;
+  }
   while (body->size() < body_size) {
     const size_t n = static_cast<size_t>(
         std::min<uint64_t>(kChunk, body_size - body->size()));

@@ -233,21 +233,6 @@ void AppendQueryBatchRequestNd(ByteWriter& w, const std::string& name,
   }
 }
 
-// True when every little-endian f64 in `bytes` is finite (an all-ones
-// exponent field marks an infinity or a NaN). Branch-free, so it
-// vectorizes into one streaming pass.
-bool AllFiniteF64(std::string_view bytes) {
-  constexpr uint64_t kExponent = 0x7ff0000000000000ull;
-  const size_t n = bytes.size() / sizeof(double);
-  uint64_t non_finite = 0;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, bytes.data() + i * sizeof(double), sizeof(bits));
-    non_finite |= static_cast<uint64_t>((bits & kExponent) == kExponent);
-  }
-  return non_finite == 0;
-}
-
 }  // namespace
 
 std::string EncodeQueryBatchRequest(const std::string& name,
@@ -347,7 +332,9 @@ bool DecodeQueryBatchRequest(std::string_view body, QueryBatchRequest* out,
   // callers are trusted; bytes off a socket are not — reject here. With no
   // trailing bytes, the queries are exactly the body's last n * per_query
   // bytes.
-  if (!AllFiniteF64(body.substr(body.size() - n * per_query))) {
+  const size_t query_bytes = n * per_query;
+  if (!AllFiniteF64(body.data() + body.size() - query_bytes,
+                    query_bytes / sizeof(double))) {
     return SetError(error, "non-finite query coordinate");
   }
   return true;

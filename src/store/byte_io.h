@@ -135,6 +135,16 @@ class ByteReader {
                  "double array");
   }
 
+  /// Steps over the next `n` bytes without copying them.
+  bool Skip(size_t n, const char* what) {
+    if (!ok_) return false;
+    if (n > remaining()) {
+      return Fail(std::string("truncated payload skipping ") + what);
+    }
+    pos_ += n;
+    return true;
+  }
+
   bool SizeVec(std::vector<size_t>* v) {
     uint64_t len = 0;
     if (!U64(&len)) return false;
@@ -166,6 +176,21 @@ class ByteReader {
   bool ok_ = true;
   std::string error_;
 };
+
+/// True when each of the `n` little-endian f64s at `p` is finite (an
+/// all-ones exponent field marks an infinity or a NaN). Branch-free, so it
+/// vectorizes into one streaming pass; `p` need not be aligned.
+inline bool AllFiniteF64(const void* p, size_t n) {
+  constexpr uint64_t kExponent = 0x7ff0000000000000ull;
+  const char* bytes = static_cast<const char*>(p);
+  uint64_t non_finite = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, bytes + i * sizeof(double), sizeof(bits));
+    non_finite |= static_cast<uint64_t>((bits & kExponent) == kExponent);
+  }
+  return non_finite == 0;
+}
 
 }  // namespace dpgrid
 

@@ -7,13 +7,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "grid/adaptive_grid.h"
 #include "grid/cell_synopsis.h"
 #include "grid/grid_counts.h"
 #include "grid/uniform_grid.h"
 #include "hier/hierarchy_grid.h"
-#include "index/prefix_sum2d.h"
 #include "nd/adaptive_grid_nd.h"
 #include "nd/grid_nd.h"
 #include "nd/hierarchy_nd.h"
@@ -30,6 +30,17 @@ namespace {
 constexpr size_t kMaxAxisCells = size_t{1} << 26;
 constexpr size_t kMaxTotalCells = size_t{1} << 28;  // GridNd's own cap
 
+// Format v1 checksummed with FNV-1a and stored each grid's prefix-sum
+// corner array right after its counts. It stays readable: its arrays are
+// shape-checked and stepped over, and Restore rebuilds them.
+constexpr uint32_t kSnapshotFormatV1 = 1;
+
+uint64_t PayloadChecksum(uint32_t version, std::string_view payload) {
+  return version == kSnapshotFormatV1
+             ? SnapshotChecksum(payload)
+             : static_cast<uint64_t>(Crc32c(payload));
+}
+
 // ---------------------------------------------------------------------------
 // Component encoders/decoders
 // ---------------------------------------------------------------------------
@@ -45,7 +56,23 @@ void WriteGridCounts(ByteWriter& w, const GridCounts& g) {
   w.F64Vec(g.values());
 }
 
-bool ReadGridCounts(ByteReader& r, std::optional<GridCounts>* out) {
+bool SkipV1Prefix2D(ByteReader& r, const GridCounts& grid) {
+  uint64_t nx = 0;
+  uint64_t ny = 0;
+  uint64_t corners = 0;
+  if (!r.U64(&nx) || !r.U64(&ny) || !r.U64(&corners)) return false;
+  if (nx != grid.nx() || ny != grid.ny()) {
+    return r.Fail("prefix index shape does not match its grid");
+  }
+  if (corners != (grid.nx() + 1) * (grid.ny() + 1)) {
+    return r.Fail("prefix corner count does not match dimensions");
+  }
+  return r.Skip(static_cast<size_t>(corners) * sizeof(double),
+                "prefix corners");
+}
+
+bool ReadGridCounts(ByteReader& r, uint32_t version,
+                    std::optional<GridCounts>* out) {
   Rect domain;
   uint64_t nx = 0;
   uint64_t ny = 0;
@@ -68,34 +95,15 @@ bool ReadGridCounts(ByteReader& r, std::optional<GridCounts>* out) {
   if (values.size() != nx * ny) {
     return r.Fail("grid value count does not match dimensions");
   }
+  // Every prefix sum and answer is derived from these counts, so one NaN
+  // or infinity would poison them all.
+  if (!AllFiniteF64(values.data(), values.size())) {
+    return r.Fail("grid has non-finite counts");
+  }
   out->emplace(GridCounts::FromRaw(domain, static_cast<size_t>(nx),
                                    static_cast<size_t>(ny),
                                    std::move(values)));
-  return true;
-}
-
-void WritePrefix2D(ByteWriter& w, const PrefixSum2D& p) {
-  w.U64(p.nx());
-  w.U64(p.ny());
-  w.F64Vec(p.corners());
-}
-
-// `grid` is the already-decoded counts the index must belong to.
-bool ReadPrefix2D(ByteReader& r, const GridCounts& grid,
-                  std::optional<PrefixSum2D>* out) {
-  uint64_t nx = 0;
-  uint64_t ny = 0;
-  std::vector<double> corners;
-  if (!r.U64(&nx) || !r.U64(&ny) || !r.F64Vec(&corners)) return false;
-  if (nx != grid.nx() || ny != grid.ny()) {
-    return r.Fail("prefix index shape does not match its grid");
-  }
-  if (corners.size() != (grid.nx() + 1) * (grid.ny() + 1)) {
-    return r.Fail("prefix corner count does not match dimensions");
-  }
-  out->emplace(
-      PrefixSum2D::FromRaw(std::move(corners), grid.nx(), grid.ny()));
-  return true;
+  return version != kSnapshotFormatV1 || SkipV1Prefix2D(r, **out);
 }
 
 void WriteBoxNd(ByteWriter& w, const BoxNd& b) {
@@ -133,7 +141,24 @@ void WriteGridNd(ByteWriter& w, const GridNd& g) {
   w.F64Vec(g.values());
 }
 
-bool ReadGridNd(ByteReader& r, std::optional<GridNd>* out) {
+bool SkipV1PrefixNd(ByteReader& r, const GridNd& grid) {
+  std::vector<size_t> sizes;
+  uint64_t corners = 0;
+  if (!r.SizeVec(&sizes) || !r.U64(&corners)) return false;
+  if (sizes != grid.sizes()) {
+    return r.Fail("prefix index shape does not match its grid");
+  }
+  // sizes == grid.sizes(), so prod(n + 1) <= 2^d * prod(n) <= 2^8 *
+  // kMaxTotalCells: the product cannot overflow.
+  size_t padded = 1;
+  for (size_t n : sizes) padded *= n + 1;
+  if (corners != padded) {
+    return r.Fail("prefix corner count does not match dimensions");
+  }
+  return r.Skip(padded * sizeof(double), "prefix corners");
+}
+
+bool ReadGridNd(ByteReader& r, uint32_t version, std::optional<GridNd>* out) {
   std::optional<BoxNd> domain;
   std::vector<size_t> sizes;
   std::vector<double> values;
@@ -155,38 +180,12 @@ bool ReadGridNd(ByteReader& r, std::optional<GridNd>* out) {
   if (values.size() != cells) {
     return r.Fail("grid value count does not match dimensions");
   }
+  if (!AllFiniteF64(values.data(), values.size())) {
+    return r.Fail("grid has non-finite counts");
+  }
   out->emplace(GridNd::FromRaw(*std::move(domain), std::move(sizes),
                                std::move(values)));
-  return true;
-}
-
-void WritePrefixNd(ByteWriter& w, const PrefixSumNd& p) {
-  w.SizeVec(p.sizes());
-  w.F64Vec(p.corners());
-}
-
-bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
-                  std::optional<PrefixSumNd>* out) {
-  std::vector<size_t> sizes;
-  std::vector<double> corners;
-  if (!r.SizeVec(&sizes) || !r.F64Vec(&corners)) return false;
-  if (sizes != grid.sizes()) {
-    return r.Fail("prefix index shape does not match its grid");
-  }
-  size_t padded = 1;
-  for (size_t n : sizes) {
-    // sizes == grid.sizes() is already bounded, so (n + 1) cannot overflow;
-    // guard the product anyway.
-    if (padded > (size_t{2} * kMaxTotalCells) / (n + 1)) {
-      return r.Fail("prefix corner array too large");
-    }
-    padded *= n + 1;
-  }
-  if (corners.size() != padded) {
-    return r.Fail("prefix corner count does not match dimensions");
-  }
-  out->emplace(PrefixSumNd::FromRaw(std::move(sizes), std::move(corners)));
-  return true;
+  return version != kSnapshotFormatV1 || SkipV1PrefixNd(r, **out);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,15 +194,12 @@ bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
 
 void WriteUniformGrid(ByteWriter& w, const UniformGrid& ug) {
   WriteGridCounts(w, ug.noisy_counts());
-  WritePrefix2D(w, ug.prefix());
 }
 
-std::unique_ptr<Synopsis> ReadUniformGrid(ByteReader& r) {
+std::unique_ptr<Synopsis> ReadUniformGrid(ByteReader& r, uint32_t version) {
   std::optional<GridCounts> grid;
-  std::optional<PrefixSum2D> prefix;
-  if (!ReadGridCounts(r, &grid)) return nullptr;
-  if (!ReadPrefix2D(r, *grid, &prefix)) return nullptr;
-  return UniformGrid::Restore(*std::move(grid), *std::move(prefix));
+  if (!ReadGridCounts(r, version, &grid)) return nullptr;
+  return UniformGrid::FromNoisyCounts(*std::move(grid));
 }
 
 void WriteAdaptiveGrid(ByteWriter& w, const AdaptiveGrid& ag) {
@@ -217,15 +213,13 @@ void WriteAdaptiveGrid(ByteWriter& w, const AdaptiveGrid& ag) {
   w.F64(o.n_estimate_fraction);
   w.I32(ag.level1_size());
   WriteGridCounts(w, ag.level1_counts());
-  WritePrefix2D(w, ag.level1_prefix());
   w.U64(ag.leaves().size());
   for (const AdaptiveGrid::LeafBlock& block : ag.leaves()) {
     WriteGridCounts(w, block.counts);
-    WritePrefix2D(w, *block.prefix);
   }
 }
 
-std::unique_ptr<Synopsis> ReadAdaptiveGrid(ByteReader& r) {
+std::unique_ptr<Synopsis> ReadAdaptiveGrid(ByteReader& r, uint32_t version) {
   AdaptiveGridOptions o;
   int32_t m1 = 0;
   if (!r.I32(&o.level1_size) || !r.F64(&o.alpha) || !r.F64(&o.c2) ||
@@ -239,32 +233,26 @@ std::unique_ptr<Synopsis> ReadAdaptiveGrid(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridCounts> level1;
-  std::optional<PrefixSum2D> level1_prefix;
-  if (!ReadGridCounts(r, &level1)) return nullptr;
+  if (!ReadGridCounts(r, version, &level1)) return nullptr;
   if (level1->nx() != static_cast<size_t>(m1) ||
       level1->ny() != static_cast<size_t>(m1)) {
     r.Fail("level-1 grid shape does not match m1");
     return nullptr;
   }
-  if (!ReadPrefix2D(r, *level1, &level1_prefix)) return nullptr;
   uint64_t num_leaves = 0;
   if (!r.U64(&num_leaves)) return nullptr;
   if (num_leaves != static_cast<uint64_t>(m1) * static_cast<uint64_t>(m1)) {
     r.Fail("leaf block count does not match m1 x m1");
     return nullptr;
   }
-  std::vector<AdaptiveGrid::LeafBlock> leaves;
+  std::vector<GridCounts> leaves;
   leaves.reserve(static_cast<size_t>(num_leaves));
   for (uint64_t i = 0; i < num_leaves; ++i) {
     std::optional<GridCounts> counts;
-    std::optional<PrefixSum2D> prefix;
-    if (!ReadGridCounts(r, &counts)) return nullptr;
-    if (!ReadPrefix2D(r, *counts, &prefix)) return nullptr;
-    leaves.push_back(
-        AdaptiveGrid::LeafBlock{*std::move(counts), std::move(prefix)});
+    if (!ReadGridCounts(r, version, &counts)) return nullptr;
+    leaves.push_back(*std::move(counts));
   }
-  return AdaptiveGrid::Restore(o, m1, *std::move(level1),
-                               *std::move(level1_prefix), std::move(leaves));
+  return AdaptiveGrid::Restore(o, m1, *std::move(level1), std::move(leaves));
 }
 
 void WriteHierarchyGrid(ByteWriter& w, const HierarchyGrid& h) {
@@ -274,7 +262,6 @@ void WriteHierarchyGrid(ByteWriter& w, const HierarchyGrid& h) {
   w.I32(o.depth);
   w.Bool(o.constrained_inference);
   WriteGridCounts(w, h.leaf_counts());
-  WritePrefix2D(w, h.prefix());
 }
 
 // Shared by the 2-D and N-d hierarchy decoders: the (leaf_size, branching,
@@ -290,7 +277,8 @@ bool ValidHierarchyShape(int leaf_size, int branching, int depth) {
   return leaf_size % factor == 0;
 }
 
-std::unique_ptr<Synopsis> ReadHierarchyGrid(ByteReader& r) {
+std::unique_ptr<Synopsis> ReadHierarchyGrid(ByteReader& r,
+                                            uint32_t version) {
   HierarchyGridOptions o;
   if (!r.I32(&o.leaf_size) || !r.I32(&o.branching) || !r.I32(&o.depth) ||
       !r.Bool(&o.constrained_inference)) {
@@ -301,15 +289,13 @@ std::unique_ptr<Synopsis> ReadHierarchyGrid(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridCounts> leaf;
-  std::optional<PrefixSum2D> prefix;
-  if (!ReadGridCounts(r, &leaf)) return nullptr;
+  if (!ReadGridCounts(r, version, &leaf)) return nullptr;
   if (leaf->nx() != static_cast<size_t>(o.leaf_size) ||
       leaf->ny() != static_cast<size_t>(o.leaf_size)) {
     r.Fail("hierarchy leaf grid shape does not match leaf size");
     return nullptr;
   }
-  if (!ReadPrefix2D(r, *leaf, &prefix)) return nullptr;
-  return HierarchyGrid::Restore(o, *std::move(leaf), *std::move(prefix));
+  return HierarchyGrid::Restore(o, *std::move(leaf));
 }
 
 void WriteCellSynopsis(ByteWriter& w, const CellSynopsis& s) {
@@ -345,6 +331,13 @@ std::unique_ptr<Synopsis> ReadCellSynopsis(ByteReader& r) {
       return nullptr;
     }
   }
+  // A cell is its region's four bounds and its count, all doubles, so one
+  // scan covers every field of every cell.
+  static_assert(sizeof(SynopsisCell) == kCellBytes);
+  if (!AllFiniteF64(cells.data(), cells.size() * 5)) {
+    r.Fail("cell synopsis has a non-finite region or count");
+    return nullptr;
+  }
   return std::make_unique<CellSynopsis>(std::move(cells), std::move(name));
 }
 
@@ -354,10 +347,10 @@ void WriteUniformGridNd(ByteWriter& w, const UniformGridNd& ug) {
   w.F64(o.guideline_c);
   w.I32(ug.grid_size());
   WriteGridNd(w, ug.noisy_counts());
-  WritePrefixNd(w, ug.prefix());
 }
 
-std::unique_ptr<SynopsisNd> ReadUniformGridNd(ByteReader& r) {
+std::unique_ptr<SynopsisNd> ReadUniformGridNd(ByteReader& r,
+                                              uint32_t version) {
   UniformGridNdOptions o;
   int32_t grid_size = 0;
   if (!r.I32(&o.grid_size) || !r.F64(&o.guideline_c) || !r.I32(&grid_size)) {
@@ -368,17 +361,14 @@ std::unique_ptr<SynopsisNd> ReadUniformGridNd(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridNd> noisy;
-  std::optional<PrefixSumNd> prefix;
-  if (!ReadGridNd(r, &noisy)) return nullptr;
+  if (!ReadGridNd(r, version, &noisy)) return nullptr;
   for (size_t n : noisy->sizes()) {
     if (n != static_cast<size_t>(grid_size)) {
       r.Fail("noisy grid shape does not match grid size");
       return nullptr;
     }
   }
-  if (!ReadPrefixNd(r, *noisy, &prefix)) return nullptr;
-  return UniformGridNd::Restore(o, grid_size, *std::move(noisy),
-                                *std::move(prefix));
+  return UniformGridNd::Restore(o, grid_size, *std::move(noisy));
 }
 
 void WriteAdaptiveGridNd(ByteWriter& w, const AdaptiveGridNd& ag) {
@@ -391,15 +381,14 @@ void WriteAdaptiveGridNd(ByteWriter& w, const AdaptiveGridNd& ag) {
   w.Bool(o.constrained_inference);
   w.I32(ag.level1_size());
   WriteGridNd(w, ag.level1_counts());
-  WritePrefixNd(w, ag.level1_prefix());
   w.U64(ag.leaves().size());
   for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
     WriteGridNd(w, *block.counts);
-    WritePrefixNd(w, *block.prefix);
   }
 }
 
-std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {
+std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r,
+                                               uint32_t version) {
   AdaptiveGridNdOptions o;
   int32_t m1 = 0;
   if (!r.I32(&o.level1_size) || !r.F64(&o.alpha) || !r.F64(&o.c2) ||
@@ -412,8 +401,7 @@ std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridNd> level1;
-  std::optional<PrefixSumNd> level1_prefix;
-  if (!ReadGridNd(r, &level1)) return nullptr;
+  if (!ReadGridNd(r, version, &level1)) return nullptr;
   const size_t d = level1->dims();
   for (size_t n : level1->sizes()) {
     if (n != static_cast<size_t>(m1)) {
@@ -421,27 +409,24 @@ std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {
       return nullptr;
     }
   }
-  if (!ReadPrefixNd(r, *level1, &level1_prefix)) return nullptr;
   uint64_t num_leaves = 0;
   if (!r.U64(&num_leaves)) return nullptr;
   if (num_leaves != level1->num_cells()) {
     r.Fail("leaf block count does not match m1^d");
     return nullptr;
   }
-  std::vector<AdaptiveGridNd::LeafBlock> leaves;
+  std::vector<GridNd> leaves;
   leaves.reserve(static_cast<size_t>(num_leaves));
   for (uint64_t i = 0; i < num_leaves; ++i) {
-    AdaptiveGridNd::LeafBlock block;
-    if (!ReadGridNd(r, &block.counts)) return nullptr;
-    if (block.counts->dims() != d) {
+    std::optional<GridNd> counts;
+    if (!ReadGridNd(r, version, &counts)) return nullptr;
+    if (counts->dims() != d) {
       r.Fail("leaf grid dimensionality does not match level 1");
       return nullptr;
     }
-    if (!ReadPrefixNd(r, *block.counts, &block.prefix)) return nullptr;
-    leaves.push_back(std::move(block));
+    leaves.push_back(*std::move(counts));
   }
   return AdaptiveGridNd::Restore(o, m1, *std::move(level1),
-                                 *std::move(level1_prefix),
                                  std::move(leaves));
 }
 
@@ -452,10 +437,9 @@ void WriteHierarchyNd(ByteWriter& w, const HierarchyNd& h) {
   w.I32(o.depth);
   w.Bool(o.constrained_inference);
   WriteGridNd(w, h.leaf_counts());
-  WritePrefixNd(w, h.prefix());
 }
 
-std::unique_ptr<SynopsisNd> ReadHierarchyNd(ByteReader& r) {
+std::unique_ptr<SynopsisNd> ReadHierarchyNd(ByteReader& r, uint32_t version) {
   HierarchyNdOptions o;
   if (!r.I32(&o.leaf_size) || !r.I32(&o.branching) || !r.I32(&o.depth) ||
       !r.Bool(&o.constrained_inference)) {
@@ -466,16 +450,14 @@ std::unique_ptr<SynopsisNd> ReadHierarchyNd(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridNd> leaf;
-  std::optional<PrefixSumNd> prefix;
-  if (!ReadGridNd(r, &leaf)) return nullptr;
+  if (!ReadGridNd(r, version, &leaf)) return nullptr;
   for (size_t n : leaf->sizes()) {
     if (n != static_cast<size_t>(o.leaf_size)) {
       r.Fail("hierarchy leaf grid shape does not match leaf size");
       return nullptr;
     }
   }
-  if (!ReadPrefixNd(r, *leaf, &prefix)) return nullptr;
-  return HierarchyNd::Restore(o, *std::move(leaf), *std::move(prefix));
+  return HierarchyNd::Restore(o, *std::move(leaf));
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +481,7 @@ std::string Seal(SynopsisKind kind, std::string payload) {
   const uint32_t version = kSnapshotFormatVersion;
   const auto kind_raw = static_cast<uint32_t>(kind);
   const uint64_t payload_size = payload.size();
-  const uint64_t checksum = SnapshotChecksum(payload);
+  const uint64_t checksum = PayloadChecksum(version, payload);
   append(&version, sizeof(version));
   append(&kind_raw, sizeof(kind_raw));
   append(&payload_size, sizeof(payload_size));
@@ -511,15 +493,14 @@ std::string Seal(SynopsisKind kind, std::string payload) {
 }  // namespace
 
 uint64_t SnapshotChecksum(std::string_view payload) {
-  // FNV-1a 64. The byte-fold chain is inherently serial (each step's
-  // multiply depends on the previous), but reading the input one u64 at a
-  // time and folding its bytes from a register removes the per-byte load
-  // and loop overhead — with the shift extraction below yielding memory
-  // order only on little-endian hosts, which this codec already requires
-  // (see byte_io.h); the assert keeps a big-endian port from silently
-  // computing different digests. This is the wire hot path: the server
-  // checksums every request and response body (store/wire framing share
-  // this function and its format).
+  // FNV-1a 64: the checksum of snapshot format v1 and DPGW v1 frames;
+  // snapshot v2 and DPGW v2 use CRC-32C. The byte-fold chain is inherently
+  // serial (each step's multiply depends on the previous), but reading the
+  // input one u64 at a time and folding its bytes from a register removes
+  // the per-byte load and loop overhead — with the shift extraction below
+  // yielding memory order only on little-endian hosts, which this codec
+  // already requires (see byte_io.h); the assert keeps a big-endian port
+  // from silently computing different digests.
   static_assert(std::endian::native == std::endian::little,
                 "word-at-a-time FNV folds bytes via little-endian shifts");
   constexpr uint64_t kPrime = 1099511628211ULL;
@@ -610,7 +591,7 @@ bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
   std::memcpy(&kind_raw, bytes.data() + 8, sizeof(kind_raw));
   std::memcpy(&payload_size, bytes.data() + 12, sizeof(payload_size));
   std::memcpy(&checksum, bytes.data() + 20, sizeof(checksum));
-  if (version != kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatV1 && version != kSnapshotFormatVersion) {
     return SetError(error, "unsupported snapshot format version " +
                                std::to_string(version));
   }
@@ -625,7 +606,7 @@ bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
                                std::to_string(payload_size) + ", file has " +
                                std::to_string(payload.size()));
   }
-  if (SnapshotChecksum(payload) != checksum) {
+  if (PayloadChecksum(version, payload) != checksum) {
     return SetError(error, "payload checksum mismatch");
   }
 
@@ -637,25 +618,25 @@ bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
   if (ReadMeta(r, &meta)) {
     switch (kind) {
       case SynopsisKind::kUniformGrid:
-        synopsis = ReadUniformGrid(r);
+        synopsis = ReadUniformGrid(r, version);
         break;
       case SynopsisKind::kAdaptiveGrid:
-        synopsis = ReadAdaptiveGrid(r);
+        synopsis = ReadAdaptiveGrid(r, version);
         break;
       case SynopsisKind::kHierarchyGrid:
-        synopsis = ReadHierarchyGrid(r);
+        synopsis = ReadHierarchyGrid(r, version);
         break;
       case SynopsisKind::kCellSynopsis:
         synopsis = ReadCellSynopsis(r);
         break;
       case SynopsisKind::kUniformGridNd:
-        synopsis_nd = ReadUniformGridNd(r);
+        synopsis_nd = ReadUniformGridNd(r, version);
         break;
       case SynopsisKind::kAdaptiveGridNd:
-        synopsis_nd = ReadAdaptiveGridNd(r);
+        synopsis_nd = ReadAdaptiveGridNd(r, version);
         break;
       case SynopsisKind::kHierarchyNd:
-        synopsis_nd = ReadHierarchyNd(r);
+        synopsis_nd = ReadHierarchyNd(r, version);
         break;
     }
   }

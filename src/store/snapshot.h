@@ -20,15 +20,24 @@ namespace dpgrid {
 //   4       4     u32 format version (kSnapshotFormatVersion)
 //   8       4     u32 SynopsisKind
 //   12      8     u64 payload size in bytes
-//   20      8     u64 FNV-1a 64 checksum of the payload
+//   20      8     u64 checksum of the payload: CRC-32C zero-extended
 //   28      -     payload: SnapshotMeta, then the kind-specific body
 //
-// The payload stores the complete post-build state of the synopsis —
-// noisy cell counts *and* prefix-sum index arrays — so a decoded synopsis
-// answers queries without any rebuild, bitwise-identically to the instance
-// that was encoded. Decoding never trusts its input: any structural
-// damage (bad magic, unknown version or kind, truncation, checksum
-// mismatch, internally inconsistent payload) returns a clean error.
+// The payload stores the release and nothing derived from it: options,
+// shapes and the noisy (post-inference) cell counts. Decoding rebuilds
+// every prefix-sum index from those counts with the constructor the
+// synopsis's own build uses, so a decoded synopsis answers
+// bitwise-identically to the instance that was encoded.
+//
+// The encoder writes format 2 only. The decoder also reads format 1,
+// which checksummed with FNV-1a (SnapshotChecksum) and stored each grid's
+// prefix-sum corner array after its counts; those arrays are shape-checked
+// and skipped.
+//
+// Decoding never trusts its input: any structural damage (bad magic,
+// unknown version or kind, truncation, checksum mismatch, internally
+// inconsistent payload, non-finite counts or bounds) returns a clean
+// error.
 
 /// Concrete synopsis type stored in a snapshot.
 enum class SynopsisKind : uint32_t {
@@ -41,7 +50,7 @@ enum class SynopsisKind : uint32_t {
   kCellSynopsis = 7,
 };
 
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 inline constexpr char kSnapshotMagic[4] = {'D', 'P', 'G', 'S'};
 inline constexpr size_t kSnapshotHeaderSize = 28;
 
@@ -73,13 +82,14 @@ bool EncodeSnapshot(const Synopsis& synopsis, const SnapshotMeta& meta,
 bool EncodeSnapshot(const SynopsisNd& synopsis, const SnapshotMeta& meta,
                     std::string* bytes, std::string* error);
 
-/// Decodes a snapshot produced by EncodeSnapshot. Returns false with
+/// Decodes a format 1 or 2 snapshot. Returns false with
 /// *error set (and *out untouched) on any malformed input; never aborts on
 /// untrusted bytes.
 bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
                     std::string* error);
 
-/// FNV-1a 64-bit checksum used by the header (exposed for tests).
+/// FNV-1a 64-bit checksum: the header checksum of format 1 snapshots and
+/// of DPGW v1 frames.
 uint64_t SnapshotChecksum(std::string_view payload);
 
 }  // namespace dpgrid

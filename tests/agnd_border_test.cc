@@ -163,15 +163,14 @@ TEST(AgNdBorderTest, RestoredGridServesIdenticalBatches) {
   Rng rng(87);
   const AdaptiveGridNd ag(data, 1.0, rng);
 
-  // Rebuild from copies of the persisted state — the snapshot-store path.
-  std::vector<AdaptiveGridNd::LeafBlock> leaves;
+  // Rebuild from copies of the persisted counts — the snapshot-store path.
+  std::vector<GridNd> leaves;
   leaves.reserve(ag.leaves().size());
   for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
-    leaves.push_back(AdaptiveGridNd::LeafBlock{block.counts, block.prefix});
+    leaves.push_back(*block.counts);
   }
   const std::unique_ptr<AdaptiveGridNd> restored = AdaptiveGridNd::Restore(
-      ag.options(), ag.level1_size(), ag.level1_counts(), ag.level1_prefix(),
-      std::move(leaves));
+      ag.options(), ag.level1_size(), ag.level1_counts(), std::move(leaves));
   ASSERT_TRUE(restored->flat_index().built());
   EXPECT_EQ(restored->flat_index().num_cells(), ag.flat_index().num_cells());
 

@@ -4,8 +4,7 @@
 // cases, must decode to a synopsis whose answers are bitwise-identical to
 // the original on a fixed query workload — the persisted-state extension of
 // the batch==scalar invariant. Re-encoding the decoded synopsis must also
-// reproduce the exact snapshot bytes (full state fidelity, prefix indexes
-// included).
+// reproduce the exact snapshot bytes (full fidelity of the stored counts).
 //
 // Corruption: byte-level damage anywhere in a snapshot must fail decoding
 // with a clean error — never a crash, never a silently misloaded synopsis.
@@ -20,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "grid/adaptive_grid.h"
@@ -259,14 +259,14 @@ class StoreCorruptionTest : public ::testing::Test {
         << error;
   }
 
-  // Replaces the header's payload size and checksum so they match the
-  // current payload bytes — used to reach validation layers *behind* the
-  // checksum.
+  // Replaces the header's payload size and checksum (CRC-32C, zero-extended
+  // as format 2 stores it) so they match the current payload bytes — used
+  // to reach validation layers *behind* the checksum.
   static void FixupHeader(std::string* bytes) {
     ASSERT_GE(bytes->size(), kSnapshotHeaderSize);
     const uint64_t payload_size = bytes->size() - kSnapshotHeaderSize;
-    const uint64_t checksum = SnapshotChecksum(
-        std::string_view(*bytes).substr(kSnapshotHeaderSize));
+    const uint64_t checksum =
+        Crc32c(std::string_view(*bytes).substr(kSnapshotHeaderSize));
     std::memcpy(bytes->data() + 12, &payload_size, sizeof(payload_size));
     std::memcpy(bytes->data() + 20, &checksum, sizeof(checksum));
   }
